@@ -34,8 +34,19 @@ class SchemaError(ValueError):
         super().__init__("%s: %s" % (path, message))
 
 
+def _is_int(v):
+    """JSON integers only: bool is a subclass of int in Python but not a
+    number in the schema."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _expect_object(data, path):
+    if not isinstance(data, dict):
+        raise SchemaError(path, "expected an object, got %r" % (data,))
+
+
 def parse_fraction(text, path="value"):
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(path, "expected a rational string, got %r" % (text,))
@@ -62,6 +73,7 @@ def format_fraction(v):
 
 
 def _parse_chain(obj, path):
+    _expect_object(obj, path)
     pts = obj.get("points")
     if not isinstance(pts, list) or not pts:
         raise SchemaError(path + ".points", "expected a nonempty list")
@@ -78,12 +90,12 @@ def _parse_chain(obj, path):
         if (kind == "root") != (k == 0):
             raise SchemaError(pp + ".kind", "the first point and only the "
                               "first point is the root")
-        if "mult" not in p or not isinstance(p["mult"], int):
+        if not _is_int(p.get("mult")):
             raise SchemaError(pp + ".mult", "expected an integer")
         mults.append(p["mult"])
         if kind == "satellite":
             t = p.get("extra_prox")
-            if not isinstance(t, int):
+            if not _is_int(t):
                 raise SchemaError(pp + ".extra_prox", "expected an integer")
             extras.append(t)
             if "lambda" in p:
@@ -106,6 +118,7 @@ def _parse_chain(obj, path):
 
 def parse_cluster_data(data, path="$"):
     """Cluster JSON -> WeightedCluster (combinatorial) or SchemeUnion."""
+    _expect_object(data, path)
     chains = data.get("chains")
     if not isinstance(chains, list) or not chains:
         raise SchemaError(path + ".chains", "expected a nonempty list")
@@ -142,8 +155,9 @@ def parse_cluster_data(data, path="$"):
 
 
 def parse_curve_data(data, path="$"):
+    _expect_object(data, path)
     d = data.get("degree")
-    if not isinstance(d, int) or d < 0:
+    if not _is_int(d) or d < 0:
         raise SchemaError(path + ".degree", "expected a nonnegative integer")
     co = data.get("coefficients")
     if not isinstance(co, dict):
@@ -164,11 +178,11 @@ def parse_curve_data(data, path="$"):
 
 
 def parse_spec_data(data, path="$"):
+    _expect_object(data, path)
     tac = data.get("tacnodes", [])
     cusp = data.get("cusps", [])
     for name, lst in (("tacnodes", tac), ("cusps", cusp)):
-        if not isinstance(lst, list) or any(not isinstance(v, int)
-                                            for v in lst):
+        if not isinstance(lst, list) or any(not _is_int(v) for v in lst):
             raise SchemaError("%s.%s" % (path, name),
                               "expected a list of integers")
     try:
@@ -186,8 +200,7 @@ def parse_inputs(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", "not valid JSON: %s" % exc) from None
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected a JSON object")
+    _expect_object(data, "$")
     if "chains" in data:
         return parse_cluster_data(data)
     if "degree" in data and "coefficients" in data:

@@ -4,10 +4,12 @@ Everything here is exact: matrices carry Python ints or Fractions, ranks are
 computed by fraction-free (Bareiss) elimination, and reduced row echelon forms
 over Q are canonical so that row spaces can be compared by equality.
 
-A single modular elimination is used as a fast certificate for the common
-full-row-rank case: a nonzero minor mod p is nonzero over Q, so a full-rank
-verdict mod p is exact.  Rank-deficient matrices always fall back to the
-fraction-free integer elimination.
+A single modular elimination is used as a fast certificate: a nonzero minor
+mod p is nonzero over Q, so the rank mod p never exceeds the rank over Q,
+which never exceeds min(rows, cols).  A mod-p rank that reaches that bound
+(full row rank, or full column rank of a tall matrix) is exact; only a
+matrix whose mod-p rank falls short of it, which includes every
+rank-deficient one, goes to the fraction-free integer elimination.
 """
 
 from fractions import Fraction
@@ -176,7 +178,7 @@ def rank(rows, ncols=None):
         return base
     dense, m = _densify(rest)
     rm = _rank_mod(dense, m)
-    if rm == len(dense):
+    if rm == min(len(dense), m):
         return base + rm
     return base + _rank_bareiss(dense, m)
 

@@ -8,13 +8,11 @@ dimensions and maximal-rank verdicts.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .clusters import WeightedCluster, is_consistent, system, us_chain
 from .local_algebra import _emit_conditions, embed, track_bounds
-from .polyops import monomials, p_mul
+from .polyops import monomials, translated_monomials
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 from .unloading import length, unload
 
@@ -57,33 +55,19 @@ class GlobalConditionMatrix:
 def _translated_columns(ec, d, bound):
     """Initial pipeline state for a degree-d curve at this component: local
     monomials of degree < bound -> sparse row over global monomial columns.
-    Returns (state, denominator)."""
-    x0, y0 = ec.base
-    s = ec.shear
-    px = {(0, 0): x0, (1, 0): Fraction(1)}
-    if s:
-        px[(0, 1)] = s
-    py = {(0, 0): y0, (0, 1): Fraction(1)}
-    powx = [{(0, 0): Fraction(1)}]
-    for _ in range(d):
-        powx.append(p_mul(powx[-1], px))
-    powy = [{(0, 0): Fraction(1)}]
-    for _ in range(d):
-        powy.append(p_mul(powy[-1], py))
-    state_frac = {}
+    Returns (state, denominator).
+
+    The state is integral: with base and shear over the common denominator D,
+    column X^a Y^b carries D^d X^a Y^b = D^(d-a-b) (D^(a+b) X^a Y^b), and the
+    denominator is D^d."""
+    D, images = translated_monomials(ec.base[0], ec.base[1], ec.shear, d,
+                                     bound)
+    state = {}
     for col, (a, b) in enumerate(monomials(d)):
-        for e, v in p_mul(powx[a], powy[b]).items():
-            if e[0] + e[1] >= bound:
-                continue
-            state_frac.setdefault(e, {})[col] = v
-    den = 1
-    for vec in state_frac.values():
-        for v in vec.values():
-            q = Fraction(v).denominator
-            den = den * q // gcd(den, q)
-    state = {e: {c: int(Fraction(v) * den) for c, v in vec.items()}
-             for e, vec in state_frac.items()}
-    return state, den
+        scale = D ** (d - a - b)
+        for e, v in images[(a, b)].items():
+            state.setdefault(e, {})[col] = v * scale
+    return state, D ** d
 
 
 def condition_matrix(Z, d):
@@ -113,18 +97,22 @@ def expected_dimension(Z, d):
     return max(-1, (d + 1) * (d + 2) // 2 - 1 - Z.total_length)
 
 
+def _audit_degree(Zn, L, d):
+    """One condition matrix and one rank for a normalized union of length L
+    in degree d: returns (defect, actual dimension)."""
+    mat = condition_matrix(Zn, d)
+    have = mat.rank()
+    return min(mat.ncols, L) - have, mat.ncols - 1 - have
+
+
 def max_rank_in_degree(Z, d):
     """('ok', 0) when the conditions have the largest possible rank in
     degree d, else ('defect', k) with the shortfall.  Components are
     normalized to their consistent systems first so the row count equals the
     length."""
     Zn = Z.normalized()
-    mat = condition_matrix(Zn, d)
-    want = min(mat.ncols, Zn.total_length)
-    have = mat.rank()
-    if have == want:
-        return ("ok", 0)
-    return ("defect", want - have)
+    defect, _ = _audit_degree(Zn, Zn.total_length, d)
+    return ("defect", defect) if defect else ("ok", 0)
 
 
 def level_floor(n):
@@ -152,11 +140,12 @@ def max_rank(Z, degrees=None):
     detail = []
     ok = True
     for d in degrees:
-        verdict, defect = max_rank_in_degree(Zn, d)
-        detail.append({"degree": d, "verdict": verdict, "defect": defect,
+        defect, actual = _audit_degree(Zn, L, d)
+        detail.append({"degree": d, "verdict": "defect" if defect else "ok",
+                       "defect": defect,
                        "expected": expected_dimension(Zn, d),
-                       "actual": ell(Zn, d)})
-        if verdict != "ok":
+                       "actual": actual})
+        if defect:
             ok = False
     return {"ok": ok, "length": L, "degrees": list(degrees),
             "detail": detail}

@@ -6,22 +6,11 @@ modules that need it.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 
 def p_clean(p):
     return {e: c for e, c in p.items() if c}
-
-def p_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return p_clean(out)
-
-def p_scale(p, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
 
 def p_mul(p, q):
     out = {}
@@ -30,18 +19,6 @@ def p_mul(p, q):
             e = (a + a2, b + b2)
             out[e] = out.get(e, 0) + c * c2
     return p_clean(out)
-
-def p_pow(p, n):
-    out = {(0, 0): 1}
-    for _ in range(n):
-        out = p_mul(out, p)
-    return out
-
-def p_eval(p, x, y):
-    return sum(c * x ** a * y ** b for (a, b), c in p.items())
-
-def p_deg(p):
-    return max((a + b for (a, b) in p), default=-1)
 
 def p_min_deg(p):
     """Order of vanishing at the origin (multiplicity); -1 for the zero
@@ -52,36 +29,68 @@ def p_form(p, d):
     """Homogeneous part of degree d."""
     return {e: c for e, c in p.items() if e[0] + e[1] == d}
 
-def p_truncate(p, bound):
-    """Drop monomials of total degree >= bound."""
-    return {e: c for e, c in p.items() if e[0] + e[1] < bound}
+def translated_monomials(x0, y0, shear, max_deg, bound=None):
+    """Closed-form images of the plane monomials X^a Y^b, a + b <= max_deg,
+    under the substitution X = x0 + x + shear*y, Y = y0 + y.
 
-def p_diff_x(p):
-    return {(a - 1, b): a * c for (a, b), c in p.items() if a}
+    x0, y0 and shear are written as integer numerators X0, Y0, S over their
+    common denominator D, so that
 
-def p_diff_y(p):
-    return {(a, b - 1): b * c for (a, b), c in p.items() if b}
+        D^(a+b) X^a Y^b = (X0 + D x + S y)^a (Y0 + D y)^b,
+
+    whose coefficient at x^j y^t is C(a, j) D^j times the coefficient at y^t
+    of (X0 + S y)^(a-j) (Y0 + D y)^b.  Only local monomials of total degree
+    < bound are enumerated (all of them when bound is None).  Returns
+    (D, images) with images[(a, b)] the integer polynomial D^(a+b) X^a Y^b,
+    zero coefficients dropped.
+    """
+    x0, y0, shear = Fraction(x0), Fraction(y0), Fraction(shear)
+    D = 1
+    for v in (x0, y0, shear):
+        D = D * v.denominator // gcd(D, v.denominator)
+    X0, Y0, S = (int(v * D) for v in (x0, y0, shear))
+    if bound is None:
+        bound = max_deg + 1
+    xpow, ypow, spow, dpow = ([v ** k for k in range(max_deg + 1)]
+                              for v in (X0, Y0, S, D))
+    # (X0 + S y)^m and (Y0 + D y)^b as y-coefficient lists below degree bound
+    ux = [[comb(m, k) * xpow[m - k] * spow[k]
+           for k in range(min(m + 1, bound))] for m in range(max_deg + 1)]
+    uy = [[comb(b, l) * ypow[b - l] * dpow[l]
+           for l in range(min(b + 1, bound))] for b in range(max_deg + 1)]
+    conv = {}
+    images = {}
+    for a, b in monomials(max_deg):
+        img = {}
+        for j in range(min(a, bound - 1) + 1):
+            m = a - j
+            prod = conv.get((m, b))
+            if prod is None:
+                p, q = ux[m], uy[b]
+                prod = [sum(p[k] * q[t - k]
+                            for k in range(max(0, t - len(q) + 1),
+                                           min(t, len(p) - 1) + 1))
+                        for t in range(min(len(p) + len(q) - 1, bound))]
+                conv[(m, b)] = prod
+            cj = comb(a, j) * dpow[j]
+            for t in range(min(len(prod), bound - j)):
+                if prod[t]:
+                    img[(j, t)] = cj * prod[t]
+        images[(a, b)] = img
+    return D, images
 
 def p_translate(p, x0, y0, shear=0):
     """Rewrite p in coordinates centered at (x0, y0) with an optional shear:
     substitutes X = x0 + x + shear*y, Y = y0 + y."""
-    px = {(0, 0): x0, (1, 0): 1}
-    if shear:
-        px[(0, 1)] = shear
-    py = {(0, 0): y0, (0, 1): 1}
-    dmax = max((a for (a, b) in p), default=0)
-    emax = max((b for (a, b) in p), default=0)
-    powx = [{(0, 0): 1}]
-    for _ in range(dmax):
-        powx.append(p_mul(powx[-1], px))
-    powy = [{(0, 0): 1}]
-    for _ in range(emax):
-        powy.append(p_mul(powy[-1], py))
+    n = max((a + b for (a, b) in p), default=0)
+    D, images = translated_monomials(x0, y0, shear, n)
     out = {}
     for (a, b), c in p.items():
-        term = p_scale(p_mul(powx[a], powy[b]), c)
-        for e, v in term.items():
-            out[e] = out.get(e, 0) + v
+        c = c * D ** (n - a - b)
+        for e, v in images[(a, b)].items():
+            out[e] = out.get(e, 0) + c * v
+    if D > 1:
+        out = {e: Fraction(v) / D ** n for e, v in out.items()}
     return p_clean(out)
 
 def p_primitive(p):

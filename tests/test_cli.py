@@ -107,6 +107,32 @@ def test_synthesize_flagship(capsys):
     assert rep["results"]["degree"] == 6 and rep["verdict"] == "ok"
 
 
+@pytest.mark.parametrize("data, path", [
+    ({"chains": [1]}, "$.chains[0]"),
+    ([{"chains": []}], "$"),
+    ({"chains": [{"points": [{"kind": "root", "mult": True}]}]},
+     "$.chains[0].points[0].mult"),
+    ({"chains": [{"points": [{"kind": "root", "mult": 2},
+                             {"kind": "satellite", "mult": 1,
+                              "extra_prox": False}]}]},
+     "$.chains[0].points[1].extra_prox"),
+    ({"chains": [{"base": [True, "0"],
+                  "points": [{"kind": "root", "mult": 2}]}]},
+     "$.chains[0].base[0]"),
+    ({"degree": True, "coefficients": {"0,0": "1"}}, "$.degree"),
+])
+def test_malformed_input_is_a_schema_error(capsys, tmp_path, data, path):
+    from nearpoints.io import SchemaError, parse_inputs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as info:
+        parse_inputs(str(bad))
+    assert info.value.path == path
+    code, rep = run_cli(capsys, "length", "--in", str(bad))
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["error"].startswith(path + ":")
+
+
 def test_parse_minimal_cluster(tmp_path):
     from nearpoints.io import parse_inputs
     from nearpoints.clusters import WeightedCluster

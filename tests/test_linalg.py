@@ -82,3 +82,33 @@ def test_solve_dense():
     x = linalg.solve_dense([[1, 1], [1, -1]], [3, 1], 2)
     assert x == [Fraction(2), Fraction(1)]
     assert linalg.solve_dense([[1, 1], [2, 2]], [1, 3], 2) is None
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide, square, or a product B @ C of inner dimension k below
+    both sides (rank-deficient for every draw)."""
+    shape = draw(st.sampled_from(["tall", "wide", "square", "deficient"]))
+    small, big = draw(st.integers(1, 6)), draw(st.integers(7, 12))
+    m, n = {"tall": (big, small), "wide": (small, big),
+            "square": (small, small), "deficient": (big, small + 1)}[shape]
+    entries = st.integers(-40, 40)
+    if shape != "deficient":
+        return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=m, max_size=m)), n
+    k = draw(st.integers(0, small))
+    B = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    return [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)], n
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_bareiss(mat_n):
+    # the mod-p certificate accepts a rank of min(rows, cols); Bareiss is
+    # the exact reference on every shape
+    mat, n = mat_n
+    assert linalg.rank(mat, n) == linalg._rank_bareiss(mat, n)

@@ -1,7 +1,13 @@
-import pytest
+from fractions import Fraction
+from math import gcd
 
-from nearpoints.clusters import WeightedCluster, system, us_chain
-from nearpoints.local_algebra import embed, ideal_subspace
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
+from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
+                                      track_bounds)
+from nearpoints.polyops import monomials, p_mul, p_translate
 from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
                                       exception_catalog, expected_dimension,
                                       generic_union, level_floor, level_split,
@@ -175,7 +181,6 @@ def classical_fat_point_rows(bases_mults, d):
     derivative of order below the multiplicity, evaluated at the base point.
     Built by plain differentiation, no blowups involved."""
     from math import comb
-    from nearpoints.polyops import monomials
     cols = monomials(d)
     rows = []
     for (x0, y0), m in bases_mults:
@@ -209,3 +214,94 @@ def test_conditions_match_classical_fat_points():
             joint = list(mine.rows) + [
                 {i: v for i, v in enumerate(row) if v} for row in theirs]
             assert r1 == r2 == linalg.rank(joint, mine.ncols), (trial, d)
+
+
+def fraction_translated_columns(ec, d, bound):
+    """Reference for the integer translation: expand (x0 + x + s*y)^a and
+    (y0 + y)^b by repeated Fraction products, multiply them out in full,
+    then drop the local monomials of degree >= bound."""
+    x0, y0 = ec.base
+    s = ec.shear
+    px = {(0, 0): x0, (1, 0): Fraction(1)}
+    if s:
+        px[(0, 1)] = s
+    py = {(0, 0): y0, (0, 1): Fraction(1)}
+    powx = [{(0, 0): Fraction(1)}]
+    powy = [{(0, 0): Fraction(1)}]
+    for _ in range(d):
+        powx.append(p_mul(powx[-1], px))
+        powy.append(p_mul(powy[-1], py))
+    state_frac = {}
+    for col, (a, b) in enumerate(monomials(d)):
+        for e, v in p_mul(powx[a], powy[b]).items():
+            if e[0] + e[1] < bound:
+                state_frac.setdefault(e, {})[col] = v
+    den = 1
+    for vec in state_frac.values():
+        for v in vec.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+    state = {e: {c: int(v * den) for c, v in vec.items()}
+             for e, vec in state_frac.items()}
+    return state, den
+
+
+@st.composite
+def rational_unions(draw):
+    """Up to three chains (free or U_s satellite patterns) at distinct
+    rational bases, each with a nonzero rational shear."""
+    rat = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    comps = []
+    bases = set()
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        mults = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n,
+                                           max_size=n)), reverse=True))
+        s = draw(st.integers(0, n))
+        cluster = us_chain(n, s) if s >= 2 else free_chain(n)
+        base = (draw(rat), draw(rat))
+        if base in bases:
+            continue
+        bases.add(base)
+        shear = draw(rat.filter(bool))
+        rng = rng_from(draw(st.integers(0, 10 ** 6)), "oracle")
+        comps.append(embed(WeightedCluster(cluster, mults), rng=rng,
+                           base=base, shear=shear, height=30))
+    return SchemeUnion(tuple(comps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_unions(), st.integers(0, 7))
+def test_condition_matrix_matches_fraction_oracle(Z, d):
+    mat = condition_matrix(Z, d)
+    rows, labels = [], []
+    for ci, ec in enumerate(Z.components):
+        bound = track_bounds(ec.mults)[0] if ec.r else 0
+        state, den = fraction_translated_columns(ec, d, bound)
+        for k, e, vec in _emit_conditions(ec, state, den):
+            rows.append(vec)
+            labels.append((ci, k, e))
+    assert mat.rows == tuple(rows)
+    assert mat.labels == tuple(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       st.fractions(min_value=-9, max_value=9,
+                                    max_denominator=7), max_size=8),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+def test_p_translate_matches_fraction_products(p, x0, y0, shear):
+    px = {(0, 0): x0, (1, 0): 1, (0, 1): shear}
+    py = {(0, 0): y0, (0, 1): 1}
+    expected = {}
+    for (a, b), c in p.items():
+        term = {(0, 0): c}
+        for _ in range(a):
+            term = p_mul(term, px)
+        for _ in range(b):
+            term = p_mul(term, py)
+        for e, v in term.items():
+            expected[e] = expected.get(e, 0) + v
+    assert p_translate(p, x0, y0, shear) == {e: v for e, v in expected.items()
+                                             if v}
