@@ -221,7 +221,9 @@ def _text_render(report):
             lines.append("%s: [%d entries]" % (prefix, len(obj)))
         else:
             lines.append("%s: %s" % (prefix, obj))
-    walk("", report["results"])
+    walk("", report.get("results", {}))
+    if "error" in report:
+        lines.append("error: %s" % report["error"])
     return "\n".join(lines) + "\n"
 
 
@@ -229,32 +231,27 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     t0 = time.time()
+    report = {"tool": "nearpoints", "version": __version__,
+              "command": args.command}
     try:
         results, verdict = run(args)
     except (SchemaError, ValueError, OSError, RuntimeError) as exc:
-        err = {"tool": "nearpoints", "version": __version__,
-               "command": getattr(args, "command", None),
-               "error": str(exc), "verdict": "error"}
-        print(json.dumps(err, indent=2))
-        return 2
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("format", "out") and v is not None}
-    report = {
-        "tool": "nearpoints",
-        "version": __version__,
-        "command": args.command,
-        "config": jsonable(config),
-        "results": jsonable(results),
-        "verdict": verdict,
-        "timings": {"elapsed_s": round(time.time() - t0, 3)},
-    }
+        report.update(error=str(exc), verdict="error")
+        code = 2
+    else:
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("format", "out") and v is not None}
+        report.update(config=jsonable(config), results=jsonable(results),
+                      verdict=verdict)
+        code = 0 if verdict == "ok" else 1
+    report["timings"] = {"elapsed_s": round(time.time() - t0, 3)}
     payload = (json.dumps(report, indent=2) + "\n" if args.format == "json"
                else _text_render(report))
     sys.stdout.write(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
-    return 0 if verdict == "ok" else 1
+    return code
 
 
 if __name__ == "__main__":

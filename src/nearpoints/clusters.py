@@ -36,14 +36,6 @@ class Cluster:
     def root_count(self):
         return len(self.chains)
 
-    def chain_offsets(self):
-        offs = []
-        acc = 0
-        for ch in self.chains:
-            offs.append(acc)
-            acc += len(ch)
-        return offs
-
     def proximities(self):
         """All proximity pairs (i, j) with point i proximate to point j,
         in global (concatenated) 0-based indexing."""
@@ -58,13 +50,22 @@ class Cluster:
             off += len(ch)
         return pairs
 
-    def is_satellite(self, chain, k):
-        return self.chains[chain][k] is not None
-
 
 def single_chain(extras):
     """Cluster with one chain; extras is the per-point extra-target list."""
     return Cluster((tuple(extras),))
+
+
+def satellite_targets(extras, k):
+    """Extra-proximity targets open to a satellite at position k >= 1 of a
+    chain whose earlier points carry extras[:k]: the corner with the
+    previous exceptional divisor (k-2, from k = 2 on) and, when point k-1 is
+    itself a satellite, the corner with the older divisor it lies on
+    (validity puts that target at or below k-3)."""
+    targets = [k - 2] if k >= 2 else []
+    if extras[k - 1] is not None:
+        targets.append(extras[k - 1])
+    return targets
 
 
 def free_chain(npoints):

@@ -11,23 +11,35 @@ next point is one of three exact substitutions on truncated polynomials:
   satellite over the corner with the older divisor (its predecessor being a
   satellite over the same target):        f(x, y) -> f(x, x*y) / x^m
 
-where m is the multiplicity prescribed at the point being left.  Monomials
-whose x-exponent would go negative under the division are exactly the
-condition coefficients emitted at that point, so dropping them keeps the
-transform exact on everything that still matters.
+`_step_kinds` decides which substitution reaches each point, and
+`_step_sparse` is the only place that carries one out.  It acts on a state
+that maps local monomials to integer column dicts over one running
+denominator, and `_walk` carries a state along the chain.  Its callers
+differ only in the divisor m and in what they read at each point:
 
-Arithmetic is exact rational throughout; the symbolic pipeline works on
-integer numerators against one running denominator.
+  condition rows (`_emit_conditions`): one column per germ coefficient,
+      m the prescribed multiplicity;
+  virtual transforms of a germ (`germ_transforms`): one column holding the
+      germ's numerators, m the prescribed multiplicity;
+  strict transforms of a germ (`strict_transforms`): one column, m the
+      multiplicity the transform attains at the point.
+
+Monomials whose x-exponent would go negative under the division are exactly
+the condition coefficients emitted at that point, so dropping them keeps the
+transform exact on everything that still matters.  Arithmetic is exact
+throughout.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import linalg
-from .clusters import WeightedCluster, check_valid, matches_stratum, system
+from .clusters import (WeightedCluster, check_valid, matches_stratum,
+                       satellite_targets, system)
 from .polyops import (monomials, monomial_index, p_clean, p_min_deg,
                       p_translate, vector_of)
+from .sampling import rand_fraction
 
 
 @dataclass(frozen=True)
@@ -90,13 +102,7 @@ class EmbeddedCluster:
     def satellite_targets_for_next(self):
         """Extra-proximity targets available to a new point on the last
         exceptional divisor."""
-        k = self.r
-        targets = []
-        if k >= 2:
-            targets.append(k - 2)
-        if self.extras[k - 1] is not None and self.extras[k - 1] != k - 2:
-            targets.append(self.extras[k - 1])
-        return targets
+        return satellite_targets(self.extras, self.r)
 
     def extend_free(self, lam, mult=1):
         extras = self.extras + (None,)
@@ -124,13 +130,8 @@ def embed(wc, lambdas=None, base=(0, 0), shear=0, rng=None, height=100):
         if extras[k] is None and lams[k] is None:
             if rng is None:
                 raise ValueError("free point %d needs a lambda" % k)
-            while True:
-                v = Fraction(rng.randint(-height, height),
-                             rng.randint(1, height))
-                if v == 0 and extras[k - 1] is not None:
-                    continue
-                lams[k] = v
-                break
+            lams[k] = rand_fraction(rng, height,
+                                    nonzero=extras[k - 1] is not None)
     return EmbeddedCluster(wc, tuple(lams), base, shear)
 
 
@@ -151,31 +152,27 @@ def track_bounds(mults, slack=0):
 
 
 def _step_sparse(state, den, kind, lam, m_leave, keep_bound):
-    """Advance the symbolic state one blowup.  state maps local monomials to
-    integer row dicts; den is the common denominator."""
+    """Advance a state one blowup: the substitution of the given kind, then
+    division by x^m_leave, keeping monomials of degree below keep_bound.
+    state maps local monomials to integer column dicts over the common
+    denominator den; returns the new (state, den)."""
     new = {}
     if kind == "free":
         p, q = lam.numerator, lam.denominator
         bmax = max((b for (_, b) in state), default=0)
-        if q == 1:
-            qpow = [1] * (bmax + 1)
-            den_new = den
-        else:
-            qpow = [q ** e for e in range(bmax + 1)]
-            den_new = den * qpow[bmax]
+        qpow = [q ** e for e in range(bmax + 1)]
         for (a, b), vec in state.items():
             base_a = a + b - m_leave
             for l in range(b + 1):
                 if base_a < 0 or base_a + l >= keep_bound:
                     continue
-                coef = comb(b, l) * p ** (b - l) * qpow[bmax - (b - l)] \
-                    if q != 1 else comb(b, l) * p ** (b - l)
+                coef = comb(b, l) * p ** (b - l) * qpow[bmax - (b - l)]
                 if not coef:
                     continue
                 tgt = new.setdefault((base_a, l), {})
                 for col, v in vec.items():
                     tgt[col] = tgt.get(col, 0) + coef * v
-        return new, den_new
+        return new, den * qpow[bmax]
     # satellite moves carry coefficient 1
     for (a, b), vec in state.items():
         base_a = a + b - m_leave
@@ -214,27 +211,32 @@ def _normalized_row(vec):
     return vec
 
 
+def _walk(ec, state, den, bounds, divisor):
+    """Carry a state along the chain, yielding (k, state, den) at each point
+    k.  The blowup leaving point k divides by x^divisor(k, state); it is
+    asked for once the caller has read point k.  bounds[k] truncates the
+    state arriving at point k."""
+    kinds = _step_kinds(ec)
+    state = {e: vec for e, vec in state.items()
+             if e[0] + e[1] < bounds[0] and vec}
+    for k in range(ec.r):
+        yield k, state, den
+        if k + 1 < ec.r:
+            kind, lam = kinds[k + 1]
+            state, den = _step_sparse(state, den, kind, lam,
+                                      divisor(k, state), bounds[k + 1])
+
+
 def _emit_conditions(ec, init_state, den, slack=0):
     """Run the pipeline and collect one normalized integer row per condition
     (point k, local monomial of degree < m_k), in walk order."""
     mults = ec.mults
-    bounds = track_bounds(mults, slack)
-    kinds = _step_kinds(ec)
-    state = {e: dict(vec) for e, vec in init_state.items()
-             if e[0] + e[1] < bounds[0] and vec}
     rows = []
-    for k in range(ec.r):
-        if mults[k] > 0:
-            for e in monomials(mults[k] - 1):
-                vec = state.get(e)
-                if vec:
-                    rows.append((k, e, _normalized_row(vec)))
-                else:
-                    rows.append((k, e, {}))
-        if k + 1 < ec.r:
-            kind, lam = kinds[k + 1]
-            state, den = _step_sparse(state, den, kind, lam, mults[k],
-                                      bounds[k + 1])
+    for k, state, _ in _walk(ec, init_state, den, track_bounds(mults, slack),
+                             lambda k, _: mults[k]):
+        for e in monomials(mults[k] - 1):
+            vec = state.get(e)
+            rows.append((k, e, _normalized_row(vec) if vec else {}))
     return rows
 
 
@@ -251,15 +253,6 @@ class LocalConditionSystem:
 
     def rank(self):
         return linalg.rank(list(self.rows), self.ncols)
-
-    def dense(self):
-        out = []
-        for r in self.rows:
-            row = [0] * self.ncols
-            for c, v in r.items():
-                row[c] = v
-            out.append(row)
-        return out
 
     def apply(self, f):
         """Values of every condition functional on a germ (dict polynomial
@@ -415,48 +408,34 @@ def colon_subspace(H, f, e=None):
     return _subspace_from_rows(rows, H.trunc)
 
 
+def _germ_state(f):
+    """A germ as a one-column state: its numerators over the lcm of its
+    denominators."""
+    den = 1
+    for c in f.values():
+        den = lcm(den, Fraction(c).denominator)
+    return {e: {0: int(c * den)} for e, c in f.items() if c}, den
+
+
+def _germ_of(state, den):
+    return {e: Fraction(vec[0], den) for e, vec in state.items() if vec[0]}
+
+
 def germ_transforms(ec, mults, f, slack=2):
     """Virtual transforms of a concrete germ along the chain, truncated.
 
     Yields the polynomial arriving at each point.  Raises if f fails a
     prescribed multiplicity (the virtual transform would not be a
     polynomial)."""
-    bounds = track_bounds(mults, slack)
-    kinds = _step_kinds(ec)
-    g = {e: Fraction(c) for e, c in f.items() if e[0] + e[1] < bounds[0]}
-    out = []
-    for k in range(ec.r):
-        out.append(dict(g))
-        if k + 1 == ec.r:
-            break
-        m = mults[k]
-        if m > 0:
-            low = {e: c for e, c in g.items() if e[0] + e[1] < m and c}
-            if low:
-                raise ValueError(
-                    "germ has multiplicity below %d at point %d" % (m, k))
-        kind, lam = kinds[k + 1]
-        new = {}
-        for (a, b), c in g.items():
-            if not c:
-                continue
-            base_a = a + b - m
-            if kind == "free":
-                for l in range(b + 1):
-                    if base_a < 0 or base_a + l >= bounds[k + 1]:
-                        continue
-                    coef = comb(b, l) * lam ** (b - l)
-                    if coef:
-                        e2 = (base_a, l)
-                        new[e2] = new.get(e2, Fraction(0)) + coef * c
-            else:
-                yexp = a if kind == "corner_prev" else b
-                if base_a < 0 or base_a + yexp >= bounds[k + 1]:
-                    continue
-                e2 = (base_a, yexp)
-                new[e2] = new.get(e2, Fraction(0)) + c
-        g = p_clean(new)
-    return out
+    def divisor(k, state):
+        if any(e[0] + e[1] < mults[k] and vec[0] for e, vec in state.items()):
+            raise ValueError(
+                "germ has multiplicity below %d at point %d" % (mults[k], k))
+        return mults[k]
+
+    state, den = _germ_state(f)
+    return [_germ_of(s, d) for _, s, d in
+            _walk(ec, state, den, track_bounds(mults, slack), divisor)]
 
 
 def strict_transforms(ec, f, slack=2, bound_base=None):
@@ -468,44 +447,18 @@ def strict_transforms(ec, f, slack=2, bound_base=None):
     The default audit bound tracks the prescribed multiplicities; pass
     bound_base to audit germs whose multiplicities may exceed them.
     """
-    mults = ec.mults
     if bound_base is None:
-        bound_base = [max(m, 1) for m in mults]
-    bounds = track_bounds(bound_base, slack)
-    kinds = _step_kinds(ec)
-    g = {e: Fraction(c) for e, c in f.items() if e[0] + e[1] < bounds[0]}
+        bound_base = [max(m, 1) for m in ec.mults]
+    state, den = _germ_state(f)
     polys = []
     attained = []
-    for k in range(ec.r):
-        g = p_clean(g)
-        polys.append(dict(g))
-        e_k = p_min_deg(g)
-        attained.append(e_k if e_k >= 0 else None)
-        if k + 1 == ec.r:
-            break
-        if e_k < 0:
-            polys.extend({} for _ in range(ec.r - k - 1))
-            attained.extend(None for _ in range(ec.r - k - 1))
-            break
-        kind, lam = kinds[k + 1]
-        new = {}
-        for (a, b), c in g.items():
-            base_a = a + b - e_k
-            if kind == "free":
-                for l in range(b + 1):
-                    if base_a + l >= bounds[k + 1]:
-                        continue
-                    coef = comb(b, l) * lam ** (b - l)
-                    if coef:
-                        e2 = (base_a, l)
-                        new[e2] = new.get(e2, Fraction(0)) + coef * c
-            else:
-                yexp = a if kind == "corner_prev" else b
-                if base_a + yexp >= bounds[k + 1]:
-                    continue
-                e2 = (base_a, yexp)
-                new[e2] = new.get(e2, Fraction(0)) + c
-        g = new
+    # the walk asks for the divisor after point k is read; a transform that
+    # has vanished is carried on without division
+    for _, s, d in _walk(ec, state, den, track_bounds(bound_base, slack),
+                         lambda k, _: attained[k] or 0):
+        g = _germ_of(s, d)
+        polys.append(g)
+        attained.append(p_min_deg(g) if g else None)
     return polys, attained
 
 

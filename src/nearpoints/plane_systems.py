@@ -137,6 +137,7 @@ def max_rank(Z, degrees=None):
     if degrees is None:
         d_low = level_floor(L)
         degrees = range(d_low, d_low + 3)
+    degrees = list(degrees)
     detail = []
     ok = True
     for d in degrees:
@@ -147,7 +148,7 @@ def max_rank(Z, degrees=None):
                        "actual": actual})
         if defect:
             ok = False
-    return {"ok": ok, "length": L, "degrees": list(degrees),
+    return {"ok": ok, "length": L, "degrees": degrees,
             "detail": detail}
 
 

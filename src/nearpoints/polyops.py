@@ -177,8 +177,9 @@ def u_mod(a, b):
 def u_diff(u):
     return [i * c for i, c in enumerate(u)][1:]
 
-def u_order_at(u, root):
-    """Multiplicity of `root` as a zero of the univariate polynomial."""
+def u_divide_out(u, root):
+    """(k, q): the multiplicity k of `root` as a zero of the univariate
+    polynomial u, and the quotient q = u / (t - root)^k."""
     u = u_clean([Fraction(c) for c in u])
     k = 0
     while u:
@@ -192,7 +193,7 @@ def u_order_at(u, root):
             break
         u = u_clean(list(reversed(res[:-1])))
         k += 1
-    return k
+    return k, u
 
 def u_is_squarefree(u):
     g = u_gcd(u, u_diff(list(u)))

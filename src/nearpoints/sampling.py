@@ -9,7 +9,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .clusters import WeightedCluster, single_chain
+from .clusters import WeightedCluster, satellite_targets, single_chain
 
 DEFAULT_HEIGHT = 100
 
@@ -33,14 +33,6 @@ def rand_fraction(rng, height=DEFAULT_HEIGHT, nonzero=False, forbid=()):
         return v
 
 
-def rand_int(rng, height=DEFAULT_HEIGHT, nonzero=False):
-    while True:
-        v = rng.randint(-height, height)
-        if nonzero and v == 0:
-            continue
-        return v
-
-
 def distinct_points(rng, count, height=DEFAULT_HEIGHT):
     """Distinct integer base points (integers are height-bounded rationals;
     integral bases keep downstream matrices integral)."""
@@ -60,11 +52,8 @@ def random_chain(rng, npoints, satellite_prob=0.35):
     """Random valid single-chain proximity structure."""
     extras = [None, None]
     for k in range(2, npoints):
-        choices = [k - 2]
-        if extras[k - 1] is not None:
-            choices.append(extras[k - 1])
         if rng.random() < satellite_prob:
-            extras.append(rng.choice(choices))
+            extras.append(rng.choice(satellite_targets(extras, k)))
         else:
             extras.append(None)
     return single_chain(extras[:npoints])

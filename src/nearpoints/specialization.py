@@ -7,12 +7,11 @@ linear systems move the right way.  Every experiment is seeded and returns a
 plain report dictionary.
 """
 
-from fractions import Fraction
-
-from .clusters import WeightedCluster, single_chain, us_chain
+from .clusters import (WeightedCluster, satellite_targets, single_chain,
+                       us_chain)
 from .local_algebra import EmbeddedCluster, colength, embed
 from .plane_systems import stratum_ell, us_consistent, _head_system
-from .sampling import DEFAULT_HEIGHT, rng_from
+from .sampling import DEFAULT_HEIGHT, rand_fraction, rng_from
 from .unloading import length, unload
 
 
@@ -32,12 +31,9 @@ def specialize_to_satellite(ec, i, target=None):
         raise ValueError("point %d has no satellite position" % i)
     if extras[i] is not None:
         raise ValueError("point %d is already a satellite" % i)
-    choices = [i - 2]
-    if extras[i - 1] is not None and extras[i - 1] != i - 2:
-        choices.append(extras[i - 1])
     if target is None:
         target = extras[i - 1] if extras[i - 1] is not None else i - 2
-    if target not in choices:
+    if target not in satellite_targets(extras, i):
         raise ValueError("no satellite position over point %d at step %d"
                          % (target, i))
     extras[i] = target
@@ -184,9 +180,8 @@ def one_more_point_lengths(ec, samples=20, seed=0, height=DEFAULT_HEIGHT):
     need = max(0, samples - len(out))
     seen = set()
     while need > 0:
-        lam = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        if lam in seen or (lam == 0 and ec.extras[ec.r - 1] is not None):
-            continue
+        lam = rand_fraction(rng, height, forbid=seen,
+                            nonzero=ec.extras[ec.r - 1] is not None)
         seen.add(lam)
         ext = ec.extend_free(lam)
         out.append({"position": str(lam), "colength": colength(ext)})

@@ -15,11 +15,11 @@ from fractions import Fraction
 import sympy
 
 from .clusters import WeightedCluster, free_chain, single_chain
-from .local_algebra import embed, strict_transforms, to_local
+from .local_algebra import _step_kinds, embed, strict_transforms, to_local
 from .plane_systems import SchemeUnion, condition_matrix
 from . import linalg
 from .polyops import (monomials, p_clean, p_form, p_min_deg, p_primitive,
-                      p_translate, u_is_squarefree, u_order_at)
+                      p_translate, u_divide_out, u_is_squarefree)
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 
 
@@ -233,7 +233,7 @@ def verify_sharp(C, ec):
         raise ValueError("curve vanishes identically in the local chart")
     polys, attained = strict_transforms(ec, f, slack=2)
     mults = ec.mults
-    extras = ec.extras
+    kinds = _step_kinds(ec)
     notes = []
     crossings_ok = True
 
@@ -241,14 +241,6 @@ def verify_sharp(C, ec):
         nonlocal crossings_ok
         crossings_ok = False
         notes.append(msg)
-
-    def deflate(poly, root):
-        out = []
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * root + c
-            out.append(acc)
-        return list(reversed(out[:-1]))
 
     for k in range(ec.r):
         if attained[k] is None or attained[k] != mults[k]:
@@ -263,12 +255,8 @@ def verify_sharp(C, ec):
         # cluster point on this exceptional divisor
         cont = None
         if k + 1 < ec.r:
-            if extras[k + 1] is None:
-                cont = ec.lambdas[k + 1]
-            elif extras[k + 1] == k - 1:
-                cont = "vert"
-            else:
-                cont = Fraction(0)
+            kind, lam = kinds[k + 1]
+            cont = {"free": lam, "corner_prev": "vert"}.get(kind, Fraction(0))
         # corner with the previous exceptional divisor (vertical direction)
         if cont != "vert":
             if k >= 1 and vert_mult > 0:
@@ -277,12 +265,9 @@ def verify_sharp(C, ec):
             elif k == 0 and vert_mult > 1:
                 fail("non-simple crossing in the unchartable direction at "
                      "the base point")
-        res = list(psi)
-        if isinstance(cont, Fraction):
-            for _ in range(u_order_at(res, cont)):
-                res = deflate(res, cont)
+        res = u_divide_out(psi, cont)[1] if isinstance(cont, Fraction) else psi
         # corner with the older divisor (direction y = 0) at a satellite
-        if extras[k] is not None and res and u_order_at(res, Fraction(0)) > 0:
+        if ec.extras[k] is not None and u_divide_out(res, 0)[0] > 0:
             fail("branch through the corner with the older divisor "
                  "at point %d" % k)
         # every remaining crossing of the exceptional divisor must be simple

@@ -187,6 +187,35 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["results"]["length"] == 20
 
 
+def test_error_report_carries_timings(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"chains": [1]}')
+    code, rep = run_cli(capsys, "length", "--in", str(bad))
+    assert code == 2
+    assert list(rep) == ["tool", "version", "command", "error", "verdict",
+                         "timings"]
+    assert rep["command"] == "length" and rep["verdict"] == "error"
+    assert rep["error"].startswith("$.chains[0]")
+    assert rep["timings"]["elapsed_s"] >= 0
+
+
+def test_error_report_honours_format_and_out(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"chains": [1]}')
+    out = tmp_path / "o.json"
+    code = main(["--format", "text", "--out", str(out), "length", "--in",
+                 str(bad)])
+    text = capsys.readouterr().out
+    assert code == 2
+    assert text.startswith("nearpoints length: error\n")
+    assert "error: $.chains[0]" in text
+    assert out.read_text() == text
+    code = main(["--out", str(out), "length", "--in", str(bad)])
+    assert code == 2
+    assert json.loads(out.read_text())["verdict"] == "error"
+    assert json.loads(capsys.readouterr().out)["verdict"] == "error"
+
+
 def test_text_format(capsys):
     code = main(["--format", "text", "length", "--in", fixture("d7.json")])
     out = capsys.readouterr().out

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from nearpoints.clusters import (WeightedCluster, excesses, free_chain,
                                  is_consistent, matches_stratum,
                                  parse_enriques, proximity_matrix,
-                                 render_enriques, single_chain, us_chain,
-                                 validate, weighted_chain)
+                                 render_enriques, satellite_targets,
+                                 single_chain, us_chain, validate,
+                                 weighted_chain)
 from nearpoints.sampling import random_chain, rng_from
 
 
@@ -126,3 +127,17 @@ def test_multi_chain_forest():
     assert excesses(wc) == [1, 1, -2, 0, 2]
     with pytest.raises(ValueError):
         WeightedCluster(forest, (1, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 8))
+def test_satellite_targets_are_the_valid_extensions(seed, npts):
+    # a satellite appended to a valid chain is valid exactly over the
+    # targets the rule lists, in the rule's order: k-2 first
+    extras = list(random_chain(rng_from(seed, "targets"), npts).chains[0])
+    k = len(extras)
+    valid = [t for t in range(k - 1)
+             if not validate(single_chain(extras + [t]))]
+    targets = satellite_targets(extras, k)
+    assert sorted(targets) == valid
+    assert targets[0] == k - 2

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nearpoints.clusters import (WeightedCluster, system, us_chain,
-                                 weighted_chain)
-from nearpoints.local_algebra import (EmbeddedCluster, colength,
+from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
+                                 us_chain, weighted_chain)
+from nearpoints.local_algebra import (EmbeddedCluster, _step_kinds, colength,
                                       colon_subspace, contains, embed,
                                       sandwiched_ideal_point, ideal_subspace,
                                       local_conditions, multiplicities_along,
-                                      germ_transforms)
-from nearpoints.polyops import monomials, p_mul
+                                      germ_transforms, strict_transforms,
+                                      track_bounds)
+from nearpoints.polyops import monomials, p_clean, p_min_deg, p_mul
 from nearpoints.sampling import random_weighted_chain, rng_from
 from nearpoints.unloading import length
 
@@ -304,3 +307,128 @@ def test_sandwiched_ideal_point_rejects_non_strict():
         sandwiched_ideal_point(ec, m1, i, j, H_minus)
     with pytest.raises(ValueError):
         sandwiched_ideal_point(ec, m1, i, j, H_plus)
+
+
+# Reference: the blowup substitution written out over Fractions, as the
+# transforms of a germ were computed before they shared the integer step.
+
+def _fraction_step(g, kind, lam, m, bound):
+    new = {}
+    for (a, b), c in g.items():
+        if not c:
+            continue
+        base_a = a + b - m
+        if kind == "free":
+            for l in range(b + 1):
+                if base_a < 0 or base_a + l >= bound:
+                    continue
+                coef = comb(b, l) * lam ** (b - l)
+                if coef:
+                    e2 = (base_a, l)
+                    new[e2] = new.get(e2, Fraction(0)) + coef * c
+        else:
+            yexp = a if kind == "corner_prev" else b
+            if base_a < 0 or base_a + yexp >= bound:
+                continue
+            e2 = (base_a, yexp)
+            new[e2] = new.get(e2, Fraction(0)) + c
+    return p_clean(new)
+
+
+def fraction_germ_transforms(ec, mults, f, slack=2):
+    bounds = track_bounds(mults, slack)
+    kinds = _step_kinds(ec)
+    g = {e: Fraction(c) for e, c in f.items() if e[0] + e[1] < bounds[0]}
+    out = []
+    for k in range(ec.r):
+        out.append(dict(g))
+        if k + 1 == ec.r:
+            break
+        m = mults[k]
+        if any(e[0] + e[1] < m and c for e, c in g.items()):
+            raise ValueError(
+                "germ has multiplicity below %d at point %d" % (m, k))
+        kind, lam = kinds[k + 1]
+        g = _fraction_step(g, kind, lam, m, bounds[k + 1])
+    return out
+
+
+def fraction_strict_transforms(ec, f, slack=2):
+    bounds = track_bounds([max(m, 1) for m in ec.mults], slack)
+    kinds = _step_kinds(ec)
+    g = p_clean({e: Fraction(c) for e, c in f.items()
+                 if e[0] + e[1] < bounds[0]})
+    polys, attained = [], []
+    for k in range(ec.r):
+        polys.append(g)
+        e_k = p_min_deg(g)
+        if e_k < 0:
+            polys.extend({} for _ in range(ec.r - k - 1))
+            attained.extend(None for _ in range(ec.r - k))
+            break
+        attained.append(e_k)
+        if k + 1 < ec.r:
+            kind, lam = kinds[k + 1]
+            g = _fraction_step(g, kind, lam, e_k, bounds[k + 1])
+    return polys, attained
+
+
+@st.composite
+def embedded_chains(draw):
+    """A random valid chain (r <= 6) with random rational lambdas and
+    multiplicities 0..3."""
+    rat = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+    extras = [None]
+    lams = [None]
+    for k in range(1, draw(st.integers(1, 6))):
+        targets = satellite_targets(extras, k)
+        if targets and draw(st.booleans()):
+            extras.append(draw(st.sampled_from(targets)))
+            lams.append(None)
+        else:
+            extras.append(None)
+            after_satellite = extras[k - 1] is not None
+            lams.append(draw(rat.filter(bool) if after_satellite else rat))
+    mults = draw(st.lists(st.integers(0, 3), min_size=len(extras),
+                          max_size=len(extras)))
+    return ec_of(extras, mults, lams)
+
+
+germs = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.fractions(min_value=-20, max_value=20,
+                 max_denominator=9).filter(bool), max_size=10)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedded_chains(), germs, st.integers(0, 3))
+def test_transforms_match_fraction_oracle(ec, f, slack):
+    assert strict_transforms(ec, f, slack) == \
+        fraction_strict_transforms(ec, f, slack)
+    assert _outcome(germ_transforms, ec, ec.mults, f, slack) == \
+        _outcome(fraction_germ_transforms, ec, ec.mults, f, slack)
+
+
+def test_germ_transforms_oracle_on_germs_through_the_cluster():
+    # germs drawn from the ideal pass every prescribed multiplicity, so the
+    # comparison covers the transforms themselves and not only the error
+    for seed in range(15):
+        rng = rng_from(seed, "germ-oracle")
+        wc = random_weighted_chain(rng, max_points=5, mult_range=(1, 3))
+        ec = embed(wc, rng=rng, height=30)
+        f = {}
+        for g in ideal_subspace(ec).basis()[:3]:
+            c = rng.randint(-5, 5)
+            for e2, v in g.items():
+                f[e2] = f.get(e2, 0) + c * v
+        f = p_clean(f)
+        got = germ_transforms(ec, ec.mults, f)
+        assert got == fraction_germ_transforms(ec, ec.mults, f)
+        assert strict_transforms(ec, f) == fraction_strict_transforms(ec, f)

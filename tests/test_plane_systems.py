@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
                                       track_bounds)
-from nearpoints.polyops import monomials, p_mul, p_translate
+from nearpoints.polyops import monomials, p_mul, p_translate, u_divide_out
 from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
                                       exception_catalog, expected_dimension,
                                       generic_union, level_floor, level_split,
@@ -87,6 +87,14 @@ def test_max_rank_five_doubles():
     fails = [d for d in rep["detail"] if d["verdict"] != "ok"]
     assert [f["degree"] for f in fails] == [4]
     assert fails[0]["defect"] == 1
+
+
+def test_max_rank_accepts_a_generator_of_degrees():
+    Z = generic_union([(2,)] * 5, 10)
+    rep = max_rank(Z, (d for d in (1, 2)))
+    assert rep["degrees"] == [1, 2]
+    assert [d["degree"] for d in rep["detail"]] == [1, 2]
+    assert rep == max_rank(Z, [1, 2])
 
 
 def test_max_rank_exception_m4():
@@ -305,3 +313,12 @@ def test_p_translate_matches_fraction_products(p, x0, y0, shear):
             expected[e] = expected.get(e, 0) + v
     assert p_translate(p, x0, y0, shear) == {e: v for e, v in expected.items()
                                              if v}
+
+
+def test_u_divide_out():
+    # (t - 2)^2 (t + 3) = t^3 - t^2 - 8t + 12
+    u = [12, -8, -1, 1]
+    assert u_divide_out(u, 2) == (2, [3, 1])
+    assert u_divide_out(u, -3) == (1, [4, -4, 1])
+    assert u_divide_out(u, Fraction(1, 2)) == (0, u)
+    assert u_divide_out([], 0) == (0, [])
