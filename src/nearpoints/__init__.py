@@ -25,8 +25,8 @@ from .plane_systems import (GlobalConditionMatrix, SchemeUnion,
                             stratum_ell, us_consistent)
 from .synthesis import (PlaneCurve, SharpnessCertificate, SingularitySpec,
                         cusp_scheme, dk_scheme, existence_driver,
-                        min_degree, singular_locus, synthesize,
-                        tacnode_scheme, verify_sharp)
+                        min_degree, synthesize, tacnode_scheme, verify_sharp)
+from .locus import singular_locus
 from .specialization import (cusp_to_tacnode_chain, limit_dimension_experiment,
                              limit_identities, limit_identities_sweep,
                              one_more_point_lengths, semicontinuity_experiment,

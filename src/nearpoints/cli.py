@@ -245,13 +245,26 @@ def main(argv=None):
                       verdict=verdict)
         code = 0 if verdict == "ok" else 1
     report["timings"] = {"elapsed_s": round(time.time() - t0, 3)}
-    payload = (json.dumps(report, indent=2) + "\n" if args.format == "json"
-               else _text_render(report))
-    sys.stdout.write(payload)
+    payload = _render(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            # the report could not be kept: say so instead of the report
+            report = {"tool": report["tool"], "version": report["version"],
+                      "command": report["command"],
+                      "error": "cannot write --out: %s" % exc,
+                      "verdict": "error", "timings": report["timings"]}
+            payload = _render(report, args.format)
+            code = 2
+    sys.stdout.write(payload)
     return code
+
+
+def _render(report, fmt):
+    return (json.dumps(report, indent=2) + "\n" if fmt == "json"
+            else _text_render(report))
 
 
 if __name__ == "__main__":

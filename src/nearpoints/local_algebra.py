@@ -200,6 +200,8 @@ def _step_kinds(ec):
 
 
 def _normalized_row(vec):
+    """The primitive integer row with a positive entry in its first column;
+    vec stores no zeros."""
     g = 0
     for v in vec.values():
         g = gcd(g, v)
@@ -235,7 +237,8 @@ def _emit_conditions(ec, init_state, den, slack=0):
     for k, state, _ in _walk(ec, init_state, den, track_bounds(mults, slack),
                              lambda k, _: mults[k]):
         for e in monomials(mults[k] - 1):
-            vec = state.get(e)
+            # entries can cancel to 0 in the blowup steps; a row keeps none
+            vec = {c: v for c, v in state.get(e, {}).items() if v}
             rows.append((k, e, _normalized_row(vec) if vec else {}))
     return rows
 

@@ -1,8 +1,8 @@
 """Bivariate polynomials as {(a, b): coefficient} dictionaries.
 
 Coefficients are exact (int or Fraction).  These are plain helpers; heavier
-elimination work (resultants, factorization over Q) goes through sympy in the
-modules that need it.
+elimination work (resultants, factorization over Q) goes through sympy's
+polynomial rings in `locus`.
 """
 
 from fractions import Fraction

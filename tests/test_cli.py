@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,67 @@ def test_error_report_honours_format_and_out(capsys, tmp_path):
     assert json.loads(out.read_text())["verdict"] == "error"
     assert json.loads(capsys.readouterr().out)["verdict"] == "error"
 
+
+
+def test_unwritable_out_is_an_error_report(capsys, tmp_path):
+    out = tmp_path / "missing" / "o.json"
+    code = main(["--out", str(out), "length", "--in", fixture("d7.json")])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and not out.exists()
+    assert list(rep) == ["tool", "version", "command", "error", "verdict",
+                         "timings"]
+    assert rep["verdict"] == "error"
+    assert rep["error"].startswith("cannot write --out: ")
+    assert str(out) in rep["error"]
+
+
+# A child that cannot import sympy: every command that does not certify a
+# singular locus must run without it.
+NO_SYMPY = """
+import sys
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name == "sympy" or name.startswith("sympy."):
+            raise ImportError("sympy is blocked")
+sys.meta_path.insert(0, Blocked())
+from nearpoints.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _child(*args):
+    import nearpoints
+    src = str(Path(nearpoints.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_cold_start_does_not_import_sympy():
+    proc = _child("-c", "import sys, nearpoints.cli; "
+                        "print('sympy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_commands_run_without_sympy(tmp_path):
+    from nearpoints.io import cluster_to_data, curve_to_data
+    from nearpoints.synthesis import SingularitySpec, synthesize
+    curve, union = synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 4, seed=3)
+    curve_path, union_path = tmp_path / "c.json", tmp_path / "u.json"
+    curve_path.write_text(json.dumps(curve_to_data(curve)))
+    union_path.write_text(json.dumps(cluster_to_data(union)))
+    for argv, code in (
+            (["length", "--in", fixture("d7.json")], 0),
+            (["maxrank", "--in", fixture("five_doubles.json")], 1),
+            (["verify", "--curve", str(curve_path), "--union",
+              str(union_path)], 0)):
+        proc = _child("-c", NO_SYMPY, *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["verdict"] == ("ok" if code == 0
+                                                      else "fail")
 
 def test_text_format(capsys):
     code = main(["--format", "text", "length", "--in", fixture("d7.json")])

@@ -432,3 +432,24 @@ def test_germ_transforms_oracle_on_germs_through_the_cluster():
         got = germ_transforms(ec, ec.mults, f)
         assert got == fraction_germ_transforms(ec, ec.mults, f)
         assert strict_transforms(ec, f) == fraction_strict_transforms(ec, f)
+
+
+def _rows_are_clean(rows):
+    return all(0 not in row.values() and (not row or row[min(row)] > 0)
+               for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedded_chains())
+def test_condition_rows_store_no_zeros(ec):
+    assert _rows_are_clean(local_conditions(ec).rows)
+
+
+def test_condition_rows_store_no_zeros_seeded():
+    # these 300 chains include rows whose entries cancel to 0 in the blowup
+    # steps (3 of their 4,097 rows)
+    for i in range(300):
+        rng = rng_from(209, "probe", i)
+        wc = random_weighted_chain(rng, max_points=6, mult_range=(0, 4))
+        ec = embed(wc, rng=rng, height=5)
+        assert _rows_are_clean(local_conditions(ec).rows)
