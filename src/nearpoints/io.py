@@ -13,7 +13,9 @@ positive denominator; anything else is rejected.  Cluster files look like
 with extra_prox a 0-based index into the same chain.  A file whose chains
 all carry bases (and lambdas on free points) parses as a SchemeUnion of
 embedded clusters; without them it parses as a combinatorial
-WeightedCluster.  Curve files carry {"degree": d, "coefficients":
+WeightedCluster.  Either way the proximity structure is checked as the file
+is read: an extra_prox that no valid cluster allows is a SchemaError at
+that point's path.  Curve files carry {"degree": d, "coefficients":
 {"a,b": "p/q"}}; singularity lists carry {"tacnodes": [...], "cusps":
 [...]}.
 """
@@ -22,7 +24,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .clusters import Cluster, WeightedCluster
+from .clusters import Cluster, WeightedCluster, validate
 from .local_algebra import EmbeddedCluster
 from .plane_systems import SchemeUnion
 from .synthesis import PlaneCurve, SingularitySpec
@@ -124,11 +126,17 @@ def parse_cluster_data(data, path="$"):
         raise SchemaError(path + ".chains", "expected a nonempty list")
     parsed = [_parse_chain(c, "%s.chains[%d]" % (path, idx))
               for idx, c in enumerate(chains)]
-    embedded = any(base is not None for _, _, _, base, _ in parsed)
-    if not embedded:
-        all_extras = tuple(tuple(extras) for extras, _, _, _, _ in parsed)
-        all_mults = tuple(m for _, mults, _, _, _ in parsed for m in mults)
-        return WeightedCluster(Cluster(all_extras), all_mults)
+    cluster = Cluster(tuple(tuple(extras) for extras, _, _, _, _ in parsed))
+    # a parsed chain has a root and points, so every violation is about the
+    # extra proximity of a satellite
+    problems = validate(cluster)
+    if problems:
+        c, k, message = problems[0]
+        raise SchemaError("%s.chains[%d].points[%d].extra_prox"
+                          % (path, c, k), message)
+    if not any(base is not None for _, _, _, base, _ in parsed):
+        return WeightedCluster(
+            cluster, tuple(m for _, mults, _, _, _ in parsed for m in mults))
     comps = []
     bases = set()
     for idx, (extras, mults, lambdas, base, shear) in enumerate(parsed):

@@ -1,21 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Everything here is exact: matrices carry Python ints or Fractions, ranks are
-computed by fraction-free (Bareiss) elimination, and reduced row echelon forms
-over Q are canonical so that row spaces can be compared by equality.
+Everything here is exact: matrices carry Python ints or Fractions, given as
+dict rows (sparse, col -> value) or as sequences.  rank and rref both first
+scale each row by the lcm of its denominators to a sparse integer row, so
+the elimination itself runs on integers.
 
-A single modular elimination is used as a fast certificate: a nonzero minor
-mod p is nonzero over Q, so the rank mod p never exceeds the rank over Q,
-which never exceeds min(rows, cols).  A mod-p rank that reaches that bound
-(full row rank, or full column rank of a tall matrix) is exact; only a
-matrix whose mod-p rank falls short of it, which includes every
-rank-deficient one, goes to the fraction-free integer elimination.
+Ranks are computed by fraction-free (Bareiss) elimination, with a single
+modular elimination as a fast certificate: a nonzero minor mod p is nonzero
+over Q, so the rank mod p never exceeds the rank over Q, which never exceeds
+min(rows, cols).  A mod-p rank that reaches that bound (full row rank, or
+full column rank of a tall matrix) is exact; only a matrix whose mod-p rank
+falls short of it, which includes every rank-deficient one, goes to the
+fraction-free integer elimination.
+
+Reduced row echelon forms are computed by integer Gauss-Jordan on sparse
+primitive rows (content 1), with a single division by the pivot per row at
+the very end.  The result is canonical over Q, so row spaces can be compared
+by equality.
 """
 
 from fractions import Fraction
 from math import gcd
 
 _P61 = (1 << 61) - 1  # Mersenne prime
+# every zero entry rref emits is this one object, so comparing two outputs
+# meets mostly identical entries
+_ZERO = Fraction(0)
 
 
 def _to_sparse_int_rows(rows, ncols):
@@ -183,48 +193,74 @@ def rank(rows, ncols=None):
     return base + _rank_bareiss(dense, m)
 
 
+def _primitive(row):
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row, prow, col):
+    """Clear column col of row with the pivot row prow:
+    (b/g) row - (a/g) prow for a = row[col], b = prow[col], g = gcd(a, b),
+    returned primitive."""
+    a, b = row[col], prow[col]
+    g = gcd(a, b)
+    fr, fp = b // g, a // g
+    out = {c: fr * v for c, v in row.items()}
+    for c, v in prow.items():
+        s = out.get(c, 0) - fp * v
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
 def rref(rows, ncols):
     """Canonical reduced row echelon form over Q.
+
+    rows may be dicts (sparse, col -> value) or sequences, with int or
+    Fraction entries.  The elimination is an integer Gauss-Jordan on sparse
+    primitive rows: each row is reduced against the pivot rows found so far
+    in leading-column order, every pivot column is then cleared from the
+    pivot rows above it, and only at the end is each row divided by its
+    pivot entry.
 
     Returns (rref_rows, pivot_cols); rref_rows is a tuple of tuples of
     Fractions with leading ones, zero rows dropped.  Two matrices have the
     same row space iff their rref outputs are equal.
     """
-    work = []
-    for row in rows:
-        if isinstance(row, dict):
-            r = [Fraction(0)] * ncols
-            for c, v in row.items():
-                r[c] = Fraction(v)
-        else:
-            r = [Fraction(v) for v in row]
-            if len(r) < ncols:
-                r += [Fraction(0)] * (ncols - len(r))
-        work.append(r)
-    pivots = []
-    rank_ = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank_, len(work)):
-            if work[i][col]:
-                piv = i
+    by_lead = {}  # pivot column -> primitive integer row leading there
+    for row in _to_sparse_int_rows(rows, ncols):
+        row = _primitive(row)
+        while row:
+            lead = min(row)
+            prow = by_lead.get(lead)
+            if prow is None:
+                by_lead[lead] = row
                 break
-        if piv is None:
-            continue
-        work[rank_], work[piv] = work[piv], work[rank_]
-        prow = work[rank_]
-        inv = 1 / prow[col]
-        for j in range(col, ncols):
-            prow[j] *= inv
-        for i in range(len(work)):
-            if i != rank_ and work[i][col]:
-                f = work[i][col]
-                ri = work[i]
-                for j in range(col, ncols):
-                    ri[j] -= f * prow[j]
-        pivots.append(col)
-        rank_ += 1
-    return tuple(tuple(r) for r in work[:rank_]), pivots
+            row = _eliminate(row, prow, lead)
+    pivots = sorted(by_lead)
+    # last pivot first: the pivot row used to clear a column has already
+    # lost its entries in every later pivot column, so none comes back
+    for i in range(len(pivots) - 1, 0, -1):
+        col = pivots[i]
+        prow = by_lead[col]
+        for above in pivots[:i]:
+            row = by_lead[above]
+            if col in row:
+                by_lead[above] = _eliminate(row, prow, col)
+    out = []
+    for col in pivots:
+        row = by_lead[col]
+        piv = row[col]
+        dense = [_ZERO] * ncols
+        for c, v in row.items():
+            dense[c] = Fraction(v, piv)
+        out.append(tuple(dense))
+    return tuple(out), pivots
 
 
 def nullspace(rows, ncols):
@@ -257,13 +293,8 @@ def solve_dense(rows, rhs, ncols):
     """One exact solution x of rows @ x = rhs, or None if inconsistent."""
     aug = []
     for row, b in zip(rows, rhs):
-        if isinstance(row, dict):
-            r = [Fraction(0)] * ncols
-            for c, v in row.items():
-                r[c] = Fraction(v)
-        else:
-            r = [Fraction(v) for v in row] + [Fraction(0)] * (ncols - len(row))
-        r.append(Fraction(b))
+        r = dict(row) if isinstance(row, dict) else dict(enumerate(row))
+        r[ncols] = b
         aug.append(r)
     red, pivots = rref(aug, ncols + 1)
     if ncols in pivots:

@@ -155,7 +155,9 @@ def _step_sparse(state, den, kind, lam, m_leave, keep_bound):
     """Advance a state one blowup: the substitution of the given kind, then
     division by x^m_leave, keeping monomials of degree below keep_bound.
     state maps local monomials to integer column dicts over the common
-    denominator den; returns the new (state, den)."""
+    denominator den, storing no zero entry and no empty dict; returns the
+    new (state, den) in the same form (a sum that cancels is deleted, which
+    is safe because no stored entry, hence no added term, is 0)."""
     new = {}
     if kind == "free":
         p, q = lam.numerator, lam.denominator
@@ -171,8 +173,12 @@ def _step_sparse(state, den, kind, lam, m_leave, keep_bound):
                     continue
                 tgt = new.setdefault((base_a, l), {})
                 for col, v in vec.items():
-                    tgt[col] = tgt.get(col, 0) + coef * v
-        return new, den * qpow[bmax]
+                    s = tgt.get(col, 0) + coef * v
+                    if s:
+                        tgt[col] = s
+                    else:
+                        del tgt[col]
+        return {e: vec for e, vec in new.items() if vec}, den * qpow[bmax]
     # satellite moves carry coefficient 1
     for (a, b), vec in state.items():
         base_a = a + b - m_leave
@@ -181,8 +187,12 @@ def _step_sparse(state, den, kind, lam, m_leave, keep_bound):
             continue
         tgt = new.setdefault((base_a, yexp), {})
         for col, v in vec.items():
-            tgt[col] = tgt.get(col, 0) + v
-    return new, den
+            s = tgt.get(col, 0) + v
+            if s:
+                tgt[col] = s
+            else:
+                del tgt[col]
+    return {e: vec for e, vec in new.items() if vec}, den
 
 
 def _step_kinds(ec):
@@ -200,17 +210,12 @@ def _step_kinds(ec):
 
 
 def _normalized_row(vec):
-    """The primitive integer row with a positive entry in its first column;
-    vec stores no zeros."""
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-    if g > 1:
-        vec = {c: v // g for c, v in vec.items()}
-    first = min(vec)
-    if vec[first] < 0:
-        vec = {c: -v for c, v in vec.items()}
-    return vec
+    """The primitive integer row with a positive entry in its first column,
+    as a new dict; vec stores no zeros."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {c: v // g for c, v in vec.items()}
 
 
 def _walk(ec, state, den, bounds, divisor):
@@ -237,8 +242,7 @@ def _emit_conditions(ec, init_state, den, slack=0):
     for k, state, _ in _walk(ec, init_state, den, track_bounds(mults, slack),
                              lambda k, _: mults[k]):
         for e in monomials(mults[k] - 1):
-            # entries can cancel to 0 in the blowup steps; a row keeps none
-            vec = {c: v for c, v in state.get(e, {}).items() if v}
+            vec = state.get(e)
             rows.append((k, e, _normalized_row(vec) if vec else {}))
     return rows
 
@@ -394,19 +398,22 @@ def colon_subspace(H, f, e=None):
         raise ValueError("negative multiplicities in e")
     mons = monomials(H.trunc)
     idx = monomial_index(H.trunc)
+    fden = lcm(*(c.denominator for c in f.values()))
+    terms = [(a, b, int(c * fden)) for (a, b), c in f.items()]
     rows = []
+    # each functional of H composed with g -> f*g, scaled to integers: its
+    # entry at monomial (a2, b2) meets the term c x^a y^b of f at the
+    # monomial (a2-a, b2-b) of g
     for cond in H.conditions:
+        entries = [(mons[j], v) for j, v in enumerate(cond) if v]
+        den = lcm(*(v.denominator for _, v in entries))
         row = {}
-        for j, (a2, b2) in enumerate(mons):
-            acc = Fraction(0)
-            for (a, b), c in f.items():
-                ee = (a + a2, b + b2)
-                if ee[0] + ee[1] <= H.trunc:
-                    v = cond[idx[ee]]
-                    if v:
-                        acc += c * v
-            if acc:
-                row[j] = acc
+        for (a2, b2), v in entries:
+            v = v.numerator * (den // v.denominator)
+            for a, b, c in terms:
+                if a <= a2 and b <= b2:
+                    col = idx[(a2 - a, b2 - b)]
+                    row[col] = row.get(col, 0) + c * v
         rows.append(row)
     return _subspace_from_rows(rows, H.trunc)
 
@@ -421,7 +428,7 @@ def _germ_state(f):
 
 
 def _germ_of(state, den):
-    return {e: Fraction(vec[0], den) for e, vec in state.items() if vec[0]}
+    return {e: Fraction(vec[0], den) for e, vec in state.items()}
 
 
 def germ_transforms(ec, mults, f, slack=2):
@@ -431,7 +438,7 @@ def germ_transforms(ec, mults, f, slack=2):
     prescribed multiplicity (the virtual transform would not be a
     polynomial)."""
     def divisor(k, state):
-        if any(e[0] + e[1] < mults[k] and vec[0] for e, vec in state.items()):
+        if any(e[0] + e[1] < mults[k] for e in state):
             raise ValueError(
                 "germ has multiplicity below %d at point %d" % (mults[k], k))
         return mults[k]

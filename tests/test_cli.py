@@ -137,6 +137,20 @@ def test_malformed_input_is_a_schema_error(capsys, tmp_path, data, path):
     assert rep["error"].startswith(path + ":")
 
 
+@pytest.mark.parametrize("command", ["render", "length", "unload"])
+@pytest.mark.parametrize("base", [None, ["0", "0"]])
+def test_invalid_cluster_is_a_schema_error(capsys, tmp_path, command, base):
+    chain = {"points": [{"kind": "root", "mult": 1},
+                        {"kind": "satellite", "mult": 1, "extra_prox": 7}]}
+    if base:
+        chain["base"] = base
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"chains": [chain]}))
+    code, rep = run_cli(capsys, command, "--in", str(bad))
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["error"].startswith("$.chains[0].points[1].extra_prox:")
+
+
 def test_parse_minimal_cluster(tmp_path):
     from nearpoints.io import parse_inputs
     from nearpoints.clusters import WeightedCluster

@@ -112,3 +112,111 @@ def test_rank_matches_bareiss(mat_n):
     # the exact reference on every shape
     mat, n = mat_n
     assert linalg.rank(mat, n) == linalg._rank_bareiss(mat, n)
+
+
+# Reference: the dense Fraction Gauss-Jordan that rref was before it ran on
+# sparse primitive integer rows.
+
+def dense_fraction_rref(rows, ncols):
+    work = []
+    for row in rows:
+        if isinstance(row, dict):
+            r = [Fraction(0)] * ncols
+            for c, v in row.items():
+                r[c] = Fraction(v)
+        else:
+            r = [Fraction(v) for v in row]
+            if len(r) < ncols:
+                r += [Fraction(0)] * (ncols - len(r))
+        work.append(r)
+    pivots = []
+    rank_ = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank_, len(work)):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[rank_], work[piv] = work[piv], work[rank_]
+        prow = work[rank_]
+        inv = 1 / prow[col]
+        for j in range(col, ncols):
+            prow[j] *= inv
+        for i in range(len(work)):
+            if i != rank_ and work[i][col]:
+                f = work[i][col]
+                ri = work[i]
+                for j in range(col, ncols):
+                    ri[j] -= f * prow[j]
+        pivots.append(col)
+        rank_ += 1
+    return tuple(tuple(r) for r in work[:rank_]), pivots
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Rows of every form rref accepts: dense sequences (some shorter than
+    ncols), sparse dicts, zero rows, and integer combinations of earlier
+    rows, with int and Fraction entries; possibly no rows at all."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(-60, 60),
+                      st.fractions(min_value=-60, max_value=60,
+                                   max_denominator=40))
+    rows, dense = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        form = draw(st.sampled_from(["dense", "short", "sparse", "zero",
+                                     "combination"]))
+        if form == "combination" and dense:
+            coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(dense),
+                                   max_size=len(dense)))
+            vals = [sum(c * r[j] for c, r in zip(coeffs, dense))
+                    for j in range(n)]
+        elif form == "zero":
+            vals = [0] * n
+        else:
+            vals = draw(st.lists(entry, min_size=n, max_size=n))
+        if form == "short":
+            vals[draw(st.integers(0, n - 1)):] = []
+        dense.append(vals + [0] * (n - len(vals)))
+        if form == "sparse" or (form == "combination" and draw(st.booleans())):
+            rows.append({j: v for j, v in enumerate(vals) if v})
+        else:
+            rows.append(vals)
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_matrices())
+def test_rref_matches_dense_fraction_rref(mat_n):
+    rows, n = mat_n
+    red, pivots = linalg.rref(rows, n)
+    assert (red, pivots) == dense_fraction_rref(rows, n)
+    # the mod-p certified rank against the rank of the echelon form
+    assert len(pivots) == linalg.rank(rows, n)
+
+
+def test_rref_of_height_1000_rationals():
+    import random
+    rng = random.Random(77)
+    rows = [[Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+             for _ in range(12)] for _ in range(9)]
+    rows.append([sum(r[j] for r in rows[:4]) for j in range(12)])
+    assert linalg.rref(rows, 12) == dense_fraction_rref(rows, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_solve_dense_solves_or_proves_inconsistency(mat_n, data):
+    rows, n = mat_n
+    rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows),
+                             max_size=len(rows)))
+    x = linalg.solve_dense(rows, rhs, n)
+    dense = [[r.get(j, 0) for j in range(n)] if isinstance(r, dict)
+             else list(r) + [0] * (n - len(r)) for r in rows]
+    if x is None:
+        aug = [r + [b] for r, b in zip(dense, rhs)]
+        assert linalg.rank(aug, n + 1) == linalg.rank(dense, n) + 1
+    else:
+        assert [sum(a * v for a, v in zip(r, x)) for r in dense] == rhs

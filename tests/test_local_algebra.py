@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
                                  us_chain, weighted_chain)
-from nearpoints.local_algebra import (EmbeddedCluster, _step_kinds, colength,
+from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
+                                      _step_kinds, _walk, colength,
                                       colon_subspace, contains, embed,
                                       sandwiched_ideal_point, ideal_subspace,
                                       local_conditions, multiplicities_along,
-                                      germ_transforms, strict_transforms,
-                                      track_bounds)
-from nearpoints.polyops import monomials, p_clean, p_min_deg, p_mul
+                                      germ_transforms, required_truncation,
+                                      strict_transforms, track_bounds)
+from nearpoints.polyops import (monomial_index, monomials, p_clean,
+                                p_min_deg, p_mul)
 from nearpoints.sampling import random_weighted_chain, rng_from
 from nearpoints.unloading import length
+from test_linalg import dense_fraction_rref
 
 
 def ec_of(extras, mults, lambdas):
@@ -374,13 +377,13 @@ def fraction_strict_transforms(ec, f, slack=2):
 
 
 @st.composite
-def embedded_chains(draw):
-    """A random valid chain (r <= 6) with random rational lambdas and
-    multiplicities 0..3."""
+def embedded_chains(draw, max_points=6, max_mult=3):
+    """A random valid chain (r <= max_points) with random rational lambdas
+    and multiplicities 0..max_mult."""
     rat = st.fractions(min_value=-30, max_value=30, max_denominator=30)
     extras = [None]
     lams = [None]
-    for k in range(1, draw(st.integers(1, 6))):
+    for k in range(1, draw(st.integers(1, max_points))):
         targets = satellite_targets(extras, k)
         if targets and draw(st.booleans()):
             extras.append(draw(st.sampled_from(targets)))
@@ -389,7 +392,7 @@ def embedded_chains(draw):
             extras.append(None)
             after_satellite = extras[k - 1] is not None
             lams.append(draw(rat.filter(bool) if after_satellite else rat))
-    mults = draw(st.lists(st.integers(0, 3), min_size=len(extras),
+    mults = draw(st.lists(st.integers(0, max_mult), min_size=len(extras),
                           max_size=len(extras)))
     return ec_of(extras, mults, lams)
 
@@ -439,10 +442,23 @@ def _rows_are_clean(rows):
                for row in rows)
 
 
+def _walk_states_are_clean(ec):
+    """No state the condition-row walk of ec yields stores a 0 or an empty
+    column dict."""
+    mults = ec.mults
+    init = {e: {i: 1} for e, i in
+            monomial_index(required_truncation(mults)).items()}
+    return all(vec and 0 not in vec.values()
+               for _, state, _ in _walk(ec, init, 1, track_bounds(mults),
+                                        lambda k, _: mults[k])
+               for vec in state.values())
+
+
 @settings(max_examples=100, deadline=None)
 @given(embedded_chains())
 def test_condition_rows_store_no_zeros(ec):
     assert _rows_are_clean(local_conditions(ec).rows)
+    assert _walk_states_are_clean(ec)
 
 
 def test_condition_rows_store_no_zeros_seeded():
@@ -453,3 +469,48 @@ def test_condition_rows_store_no_zeros_seeded():
         wc = random_weighted_chain(rng, max_points=6, mult_range=(0, 4))
         ec = embed(wc, rng=rng, height=5)
         assert _rows_are_clean(local_conditions(ec).rows)
+        assert _walk_states_are_clean(ec)
+
+
+# Reference: the conductor as it was built before it walked only the
+# nonzero entries of each condition, one Fraction sum per monomial, and
+# reduced by the dense Fraction rref.
+
+def dense_colon_subspace(H, f):
+    f = p_clean(f)
+    mons = monomials(H.trunc)
+    idx = monomial_index(H.trunc)
+    rows = []
+    for cond in H.conditions:
+        row = {}
+        for j, (a2, b2) in enumerate(mons):
+            acc = Fraction(0)
+            for (a, b), c in f.items():
+                ee = (a + a2, b + b2)
+                if ee[0] + ee[1] <= H.trunc:
+                    v = cond[idx[ee]]
+                    if v:
+                        acc += c * v
+            if acc:
+                row[j] = acc
+        rows.append(row)
+    return IdealSubspace(H.trunc, dense_fraction_rref(rows, len(mons))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_chains(max_points=4, max_mult=2), st.data())
+def test_colon_matches_dense_oracle(ec, data):
+    # f from the ideal of a sub-system, as in the conductor identity, and an
+    # arbitrary germ, whose terms may reach past the truncation
+    H = ideal_subspace(ec)
+    sub = tuple(data.draw(st.integers(0, m)) for m in ec.mults)
+    basis = ideal_subspace(ec.with_mults(sub), H.trunc).basis()
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                                max_size=len(basis)))
+    f = {}
+    for c, g in zip(coeffs, basis):
+        for e2, v in g.items():
+            f[e2] = f.get(e2, 0) + c * v
+    for g in (p_clean(f), data.draw(germs)):
+        if g:
+            assert colon_subspace(H, g) == dense_colon_subspace(H, g)
