@@ -26,7 +26,7 @@ from .plane_systems import (GlobalConditionMatrix, SchemeUnion,
 from .synthesis import (PlaneCurve, SharpnessCertificate, SingularitySpec,
                         cusp_scheme, dk_scheme, existence_driver,
                         min_degree, synthesize, tacnode_scheme, verify_sharp)
-from .locus import singular_locus
+from .locus import singular_locus, tjurina_certificate
 from .specialization import (cusp_to_tacnode_chain, limit_dimension_experiment,
                              limit_identities, limit_identities_sweep,
                              one_more_point_lengths, semicontinuity_experiment,

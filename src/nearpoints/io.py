@@ -1,7 +1,11 @@
 """JSON schemas for clusters, unions, curves, and singularity lists.
 
-Rationals travel as exact strings "p" or "p/q" in lowest terms with a
-positive denominator; anything else is rejected.  Cluster files look like
+Rationals travel as JSON integers or as exact ASCII strings "p" or "p/q"
+(an optional minus sign, decimal digits, no spaces, underscores or plus
+signs) in lowest terms with a positive denominator; anything else is
+rejected.  A JSON object that repeats a key, or an integer too long for
+Python to convert, is rejected when the file is read.  Cluster files look
+like
 
     {"chains": [{"base": ["1", "-2/3"],      # embedded chains only
                  "shear": "0",                # optional
@@ -16,18 +20,25 @@ embedded clusters; without them it parses as a combinatorial
 WeightedCluster.  Either way the proximity structure is checked as the file
 is read: an extra_prox that no valid cluster allows is a SchemaError at
 that point's path.  Curve files carry {"degree": d, "coefficients":
-{"a,b": "p/q"}}; singularity lists carry {"tacnodes": [...], "cusps":
-[...]}.
+{"a,b": "p/q"}}, each key in canonical form (decimal exponents without
+leading zeros or spaces), so that no two keys name the same monomial;
+singularity lists carry {"tacnodes": [...], "cusps": [...]}.
 """
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
 from .clusters import Cluster, WeightedCluster, validate
 from .local_algebra import EmbeddedCluster
 from .plane_systems import SchemeUnion
+from .polyops import monomial_key
 from .synthesis import PlaneCurve, SingularitySpec
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_MONOMIAL_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
 class SchemaError(ValueError):
@@ -52,17 +63,18 @@ def parse_fraction(text, path="value"):
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(path, "expected a rational string, got %r" % (text,))
-    num, sep, den = text.partition("/")
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise SchemaError(path, "malformed rational %r" % text)
     try:
-        p = int(num)
-        q = int(den) if sep else 1
+        p = int(m[1])
+        q = int(m[2] or 1)
     except ValueError:
+        # more digits than int() converts
         raise SchemaError(path, "malformed rational %r" % text) from None
     if q == 0:
         raise SchemaError(path, "zero denominator in %r" % text)
-    if q < 0:
-        raise SchemaError(path, "denominator must be positive in %r" % text)
-    if sep and gcd(abs(p), q) != 1:
+    if gcd(abs(p), q) != 1:
         raise SchemaError(path, "rational %r is not in lowest terms" % text)
     return Fraction(p, q)
 
@@ -172,12 +184,12 @@ def parse_curve_data(data, path="$"):
         raise SchemaError(path + ".coefficients", "expected an object")
     coeffs = {}
     for key, val in co.items():
-        try:
-            a, b = (int(t) for t in key.split(","))
-        except ValueError:
+        m = _MONOMIAL_KEY.fullmatch(key)
+        if m is None:
             raise SchemaError("%s.coefficients[%r]" % (path, key),
-                              "key must be 'a,b'") from None
-        if a < 0 or b < 0 or a + b > d:
+                              "key must be 'a,b' in canonical form")
+        a, b = int(m[1]), int(m[2])
+        if a + b > d:
             raise SchemaError("%s.coefficients[%r]" % (path, key),
                               "monomial outside degree %d" % d)
         coeffs[(a, b)] = parse_fraction(val, "%s.coefficients[%r]"
@@ -199,14 +211,26 @@ def parse_spec_data(data, path="$"):
         raise SchemaError(path, str(exc)) from None
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("duplicate key %r" % key)
+        obj[key] = value
+    return obj
+
+
 def parse_inputs(path):
     """Load a JSON file and dispatch on its shape: cluster/union files have
     "chains", curves have "degree"+"coefficients", singularity lists have
     "tacnodes"/"cusps"."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            # malformed JSON, a repeated key, or an integer beyond the
+            # interpreter's digit limit
             raise SchemaError("$", "not valid JSON: %s" % exc) from None
     _expect_object(data, "$")
     if "chains" in data:
@@ -259,7 +283,7 @@ def _chain_data(extras, mults, lambdas):
 
 def curve_to_data(curve):
     return {"degree": curve.d,
-            "coefficients": {"%d,%d" % e: format_fraction(c)
+            "coefficients": {monomial_key(e): format_fraction(c)
                              for e, c in sorted(curve.coeffs.items())},
             "chart": "affine x,y"}
 

@@ -1,5 +1,15 @@
-"""The singular locus of a plane curve, found exactly.
+"""The singular locus of a plane curve: a Tjurina-count certificate first,
+the exact resultant locus as the fallback.
 
+`tjurina_certificate` proves, from one Hilbert-function value of the Jacobian
+ideal, that a curve is reduced and has no singular point (at infinity
+included) beyond a set whose Tjurina numbers are known to sum to s.  It is
+sound only under that premise: in the synthesis pipeline every sharpness
+certificate has passed, which fixes each prescribed germ as an A_k point
+with Tjurina number k.  It runs one mod-p rank per degree and never touches
+sympy.
+
+`singular_locus` finds all singular points exactly, with no premise.
 Candidate x-coordinates come from resultant eliminants taken factor by factor
 of the curve, so no elimination is degenerate.  Every candidate is then
 checked against {C = C_x = C_y = 0}: a rational one by substitution, an
@@ -7,8 +17,8 @@ irrational one by gcds over the field Q[x]/(q), so nothing spurious survives.
 The line at infinity is audited in the chart X = 1 and at the direction
 (0:1:0).
 
-The algebra runs on sympy's sparse polynomial rings.  The curve, with its
-denominators cleared, lives in ZZ[y, x]; y is the first generator, so a
+The resultant locus runs on sympy's sparse polynomial rings.  The curve, with
+its denominators cleared, lives in ZZ[y, x]; y is the first generator, so a
 resultant eliminates y.  Univariate work is done in ZZ[x], ZZ[y], QQ[x] and
 QQ[y], and the projective audit in ZZ[x, y, w].  A sympy expression is built only
 to print an eliminant or a repeated factor that reaches the output.
@@ -18,13 +28,15 @@ trivial content in Q[x] and F(x0, y) is irreducible of the same y-degree,
 then F is irreducible, hence squarefree, and the bivariate factorization and
 the squarefree gcds are skipped.
 
-sympy is imported on the first call, not with the package.
+sympy is imported on the first call of `singular_locus`, not with the
+package.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .linalg import _densify, _rank_mod
 from .polyops import p_min_deg, p_translate
 
 # x0 values tried, in order, for the irreducibility specialization; the
@@ -150,6 +162,51 @@ def _count_common_over(q, polys):
     return q.degree() * distinct_y
 
 
+def _integer_coefficients(coeffs):
+    """The coefficient dict scaled by the lcm of its denominators."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return {e: int(Fraction(c) * den) for e, c in coeffs.items()}
+
+
+def tjurina_certificate(coeffs, s):
+    """True only if the curve is reduced and its total Tjurina number, over
+    all singular points of the projective closure, is at most s.
+
+    Let F in Z[X, Y, Z] be the curve homogenized to its degree d, J the ideal
+    of its partials, and h_p(t) = C(t+2, 2) minus the rank mod p = 2^61 - 1
+    of the degree-t Macaulay matrix of J.  A mod-p rank never exceeds the
+    rank over Q, so h_p(t) is at least the Hilbert function of S/J, which
+    maps onto the coordinate ring of the Jacobian scheme.  By Euler's
+    relation F lies in J, so that scheme sits on the singular points and
+    has length tau(C), infinite when C is not reduced; its Hilbert function
+    rises by at least one per degree until it reaches the length.  Hence
+    h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves
+    tau(C) <= s.  The degrees tried run from max(s, d-1), where the matrix
+    first has rows, to max(s, 3(d-2)), Dimca's stability bound for the
+    Jacobian algebra.
+
+    When the curve is known to carry singular points whose Tjurina numbers
+    sum to s, a pass proves that they are all of its singular points.
+    """
+    ints = _integer_coefficients({e: c for e, c in coeffs.items() if c})
+    d = max((a + b for (a, b) in ints), default=-1)
+    # the partials, each keyed by its (X, Y) exponents in degree d-1
+    grads = ({(a - 1, b): a * c for (a, b), c in ints.items() if a},
+             {(a, b - 1): b * c for (a, b), c in ints.items() if b},
+             {(a, b): (d - a - b) * c for (a, b), c in ints.items()
+              if d - a - b})
+    for t in range(max(s, d - 1), max(s, 3 * (d - 2)) + 1):
+        e = t - d + 1
+        rows = [{(i + u, j + v): c for (i, j), c in g.items()}
+                for u in range(e + 1) for v in range(e + 1 - u)
+                for g in grads]
+        h = (t + 1) * (t + 2) // 2 - _rank_mod(*_densify(rows))
+        if h <= s:
+            # below s only when the premise on s is wrong
+            return h == s
+    return False
+
+
 def _monic_text(f, gens):
     """The polynomial f (a dict of exponents in `gens` order) made monic
     over QQ in the lex order of `gens`, printed as a sympy expression."""
@@ -170,8 +227,7 @@ def singular_locus(C, check_squarefree=True):
     deg = max((a + b for (a, b) in coeffs), default=-1)
     if deg <= 0:
         raise ValueError("zero or constant curve")
-    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
-    ints = {e: int(Fraction(c) * den) for e, c in coeffs.items()}
+    ints = _integer_coefficients(coeffs)
     Z2 = _ring("y,x")
     y, x = Z2.gens
     P = Z2.from_dict({(b, a): c for (a, b), c in ints.items()})

@@ -6,6 +6,7 @@ polynomial rings in `locus`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 
@@ -122,6 +123,13 @@ def monomials(max_deg):
         for a in range(d, -1, -1):
             out.append((a, d - a))
     return out
+
+
+@lru_cache(maxsize=None)
+def monomial_key(e):
+    """The text key "a,b" of the monomial x^a y^b in curve files and
+    reports; one shared string per monomial, however many curves are kept."""
+    return "%d,%d" % e
 
 
 def monomial_index(max_deg):

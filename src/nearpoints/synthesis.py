@@ -2,13 +2,16 @@
 
 Constructors build the singularity schemes (tacnode, cusp, D-type), a degree
 bound decides where interpolation is possible, and `synthesize` draws an
-explicit exact curve through the union.  Certification is by actual blowup:
-`verify_sharp` recomputes the multiplicities of the strict transforms along
-the cluster and audits every crossing with the exceptional configuration,
-and `singular_locus` (from `locus`) solves for all singular points of the
-curve by resultants, so the verdict of `existence_driver` rests on
-independent checks.  This module does not import sympy; `locus` does, on its
-first call.
+explicit exact curve through the union.  Certification is by actual blowup
+and then by a global count.  `verify_sharp` recomputes the multiplicities of
+the strict transforms along the cluster and audits every crossing with the
+exceptional configuration; a sharp pass fixes each prescribed germ as an A_k
+point with Tjurina number k.  Once every sharpness certificate has passed,
+the Tjurina-count certificate (`tjurina_certificate`, from `locus`) shows
+that the curve is reduced and singular nowhere else, at infinity included.
+The resultant locus (`singular_locus`) is the fallback: it solves for all
+singular points exactly whenever the premise or the count fails.  This
+module does not import sympy; `locus` does, on the first resultant locus.
 """
 
 from dataclasses import dataclass
@@ -16,11 +19,12 @@ from fractions import Fraction
 
 from .clusters import WeightedCluster, free_chain, single_chain
 from .local_algebra import _step_kinds, embed, strict_transforms, to_local
-from .locus import singular_locus
+from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, condition_matrix
 from . import linalg
-from .polyops import (monomials, p_clean, p_form, p_min_deg, p_primitive,
-                      u_divide_out, u_is_squarefree)
+from .polyops import (monomial_key, monomials, p_clean, p_form, p_min_deg,
+                      p_primitive, p_translate, u_divide_out,
+                      u_is_squarefree)
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 
 
@@ -43,6 +47,13 @@ class SingularitySpec:
     @property
     def weight(self):
         return sum(self.tacnodes) + sum(n + 1 for n in self.cusps)
+
+    @property
+    def tjurina(self):
+        """Sum of the Tjurina numbers: a tacnode of order t is A_{2t-1}, a
+        cusp of order n is A_{2n}."""
+        return (sum(2 * t - 1 for t in self.tacnodes)
+                + sum(2 * n for n in self.cusps))
 
 
 @dataclass(frozen=True)
@@ -281,8 +292,16 @@ def verify_sharp(C, ec):
 
 def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
     """Full pipeline: bound, synthesis, per-cluster sharpness certificates,
-    exact singular locus; verdict ok iff every certificate passes and the
+    then the singular locus; verdict ok iff every certificate passes and the
     singular points are exactly the prescribed base points.
+
+    The locus is certified by the Tjurina count first, with the resultant
+    locus as the fallback.  The count is taken only when every sharpness
+    certificate passed, since only then is the Tjurina number at each base
+    point known, and only when no two bases share an x-coordinate, so that
+    the sorted bases are the list the resultant locus would report.  A pass
+    proves the curve reduced with no singular point besides the bases;
+    otherwise `singular_locus` solves for all singular points.
 
     Irreducibility is certified by hypothesis: the conditions were checked
     independent one degree down and the base scheme is not a single point of
@@ -301,22 +320,33 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
                                   "attained": list(c.attained),
                                   "prescribed": list(c.prescribed),
                                   "notes": list(c.notes)} for c in certs]
+        sharp = all(c.ok for c in certs)
+        # each base is formatted once, for its point and for "bases"
+        names = {ec.base: tuple(map(str, ec.base)) for ec in union.components}
+        expected = sorted(names)
         locus_ok = False
-        try:
-            locus = singular_locus(curve)
-            expected = sorted((ec.base[0], ec.base[1])
-                              for ec in union.components)
-            got = sorted(p["point"] for p in locus["affine"])
-            locus_ok = (got == expected and not locus["affine_unlocated"]
-                        and not locus["infinity"]
-                        and not locus["infinity_unlocated"])
+        if (sharp and len({x for x, _ in expected}) == len(expected)
+                and tjurina_certificate(curve.coeffs, spec.tjurina)):
             entry["singular_points"] = [
-                {"point": [str(p["point"][0]), str(p["point"][1])],
-                 "multiplicity": p["multiplicity"]} for p in locus["affine"]]
-            entry["locus_ok"] = locus_ok
-        except ValueError as exc:
-            entry["locus_error"] = str(exc)
-        entry["ok"] = locus_ok and all(c.ok for c in certs)
+                {"point": list(names[b]),
+                 "multiplicity": p_min_deg(p_translate(curve.coeffs, *b))}
+                for b in expected]
+            entry["locus_ok"] = locus_ok = True
+        else:
+            try:
+                locus = singular_locus(curve)
+                got = sorted(p["point"] for p in locus["affine"])
+                locus_ok = (got == expected and not locus["affine_unlocated"]
+                            and not locus["infinity"]
+                            and not locus["infinity_unlocated"])
+                entry["singular_points"] = [
+                    {"point": [str(p["point"][0]), str(p["point"][1])],
+                     "multiplicity": p["multiplicity"]}
+                    for p in locus["affine"]]
+                entry["locus_ok"] = locus_ok
+            except ValueError as exc:
+                entry["locus_error"] = str(exc)
+        entry["ok"] = locus_ok and sharp
         attempts.append(entry)
         if entry["ok"]:
             verdict = True
@@ -337,8 +367,7 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         "attempts": attempts,
         "verdict": "ok" if verdict else "fail",
         "curve": {"degree": curve.d,
-                  "coefficients": {"%d,%d" % e: str(Fraction(c))
+                  "coefficients": {monomial_key(e): str(Fraction(c))
                                    for e, c in sorted(curve.coeffs.items())}},
-        "bases": [[str(ec.base[0]), str(ec.base[1])]
-                  for ec in union.components],
+        "bases": [list(names[ec.base]) for ec in union.components],
     }

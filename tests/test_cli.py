@@ -247,8 +247,9 @@ def test_unwritable_out_is_an_error_report(capsys, tmp_path):
     assert str(out) in rep["error"]
 
 
-# A child that cannot import sympy: every command that does not certify a
-# singular locus must run without it.
+# A child that cannot import sympy: every command that does not need the
+# resultant locus must run without it, synthesize included when the
+# Tjurina count certifies its curve.
 NO_SYMPY = """
 import sys
 class Blocked:
@@ -288,7 +289,8 @@ def test_commands_run_without_sympy(tmp_path):
             (["length", "--in", fixture("d7.json")], 0),
             (["maxrank", "--in", fixture("five_doubles.json")], 1),
             (["verify", "--curve", str(curve_path), "--union",
-              str(union_path)], 0)):
+              str(union_path)], 0),
+            (["synthesize", "--tacnodes", "1,1,1", "--seed", "31000"], 0)):
         proc = _child("-c", NO_SYMPY, *argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr == ""

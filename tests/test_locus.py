@@ -1,10 +1,14 @@
-"""The singular-locus certificate against an oracle.
+"""The singular-locus certificates against oracles.
 
 The oracle below is the sympy `Expr` implementation that `locus.py`
 replaced, kept verbatim: it builds `sympy.Poly` objects from expressions,
 substitutes with `subs` and calls `sympy.resultant`, `sympy.gcd` and
 `sympy.factor`.  The ring implementation must give the same output dict, or
 raise the same exception type with the same message, on every curve.
+
+The Tjurina-count certificate is checked against the resultant locus: on
+curves whose given singular points carry at least the claimed Tjurina
+numbers, a pass must mean that the locus is exactly those points.
 """
 
 from fractions import Fraction
@@ -371,3 +375,156 @@ curves = st.one_of(
 @given(curves)
 def test_locus_matches_oracle(curve):
     same_as_oracle(curve)
+
+
+# ------------------------------------------------- Tjurina-count certificate
+
+def locus_is_exactly(curve, points):
+    """Does the resultant locus return exactly these affine points, with
+    nothing unlocated and nothing at infinity?"""
+    loc = locus.singular_locus(curve)
+    return (sorted(p["point"] for p in loc["affine"]) == sorted(points)
+            and not loc["affine_unlocated"] and not loc["infinity"]
+            and not loc["infinity_unlocated"])
+
+
+def meet(l1, l2):
+    """The affine point where two lines {(1,0): a, (0,1): b, (0,0): c} meet,
+    or None when they are parallel or equal."""
+    a1, b1, c1 = (Fraction(l1.get(e, 0)) for e in ((1, 0), (0, 1), (0, 0)))
+    a2, b2, c2 = (Fraction(l2.get(e, 0)) for e in ((1, 0), (0, 1), (0, 0)))
+    det = a1 * b2 - a2 * b1
+    if not det:
+        return None
+    return ((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
+
+
+def secant(p, q):
+    """The line through two distinct points."""
+    (x1, y1), (x2, y2) = p, q
+    return {(1, 0): y2 - y1, (0, 1): x1 - x2, (0, 0): x2 * y1 - x1 * y2}
+
+
+small = st.integers(-3, 3)
+nonzero = small.filter(bool)
+ratios = st.builds(Fraction, small, st.integers(1, 3))
+
+
+@st.composite
+def nodal_unions(draw):
+    """(curve, claimed points, s): a product of generic lines, or of a conic
+    (parabola or hyperbola) and secants through rational points of it.
+    Every claimed point is a singular point of the curve, and s is at most
+    the sum of the Tjurina numbers there: one per pair of lines meeting in
+    the affine plane, two per secant for the points it cuts on the conic.
+    Parallel, equal and concurrent lines are all allowed."""
+    conic = draw(st.sampled_from(["none", "parabola", "hyperbola"]))
+    if conic == "none":
+        lines = draw(st.lists(
+            st.fixed_dictionaries({(1, 0): small, (0, 1): small,
+                                   (0, 0): small}).filter(
+                lambda l: l[(1, 0)] or l[(0, 1)]),
+            min_size=2, max_size=4))
+        factors, points, s = list(lines), [], 0
+    else:
+        if conic == "parabola":
+            a, b, c = draw(nonzero), draw(small), draw(small)
+            factors = [{(0, 1): 1, (2, 0): -a, (1, 0): -b, (0, 0): -c}]
+            on_conic = lambda t: (t, a * t * t + b * t + c)
+        else:
+            c = draw(nonzero)
+            factors = [{(1, 1): 1, (0, 0): -c}]
+            on_conic = lambda t: (t, c / t)
+        ts = draw(st.lists(ratios.filter(bool), min_size=2, max_size=6,
+                           unique=True))
+        pairs = draw(st.lists(st.tuples(st.sampled_from(ts),
+                                        st.sampled_from(ts)).filter(
+            lambda p: p[0] != p[1]), min_size=1, max_size=3))
+        lines = [secant(on_conic(t1), on_conic(t2)) for t1, t2 in pairs]
+        points = [on_conic(t) for pair in pairs for t in pair]
+        factors += lines
+        s = 2 * len(lines)
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = meet(lines[i], lines[j])
+            if p is not None:
+                points.append(p)
+                s += 1
+    return curve_of(*factors), sorted(set(points)), s
+
+
+@st.composite
+def ak_curves(draw):
+    """(curve, points, s) for a curve whose singular points and Tjurina
+    numbers are known exactly, moved by a random affine map: the cusp
+    y^2 = x^3 (A_2), the parabola tangent to a line (A_3), and two conics
+    y = x^2, y = x^2 - y(alpha x + beta y) with contact 3 at the origin plus
+    a node (A_5 + A_1), or contact 4 when alpha = 0 (A_7)."""
+    kind = draw(st.sampled_from(["A2", "A3", "A5+A1", "A7"]))
+    if kind == "A2":
+        f, known = {(0, 2): 1, (3, 0): -1}, [((0, 0), 2)]
+    elif kind == "A3":
+        f, known = {(0, 2): 1, (2, 1): -1}, [((0, 0), 3)]
+    else:
+        alpha = 0 if kind == "A7" else draw(ratios.filter(bool))
+        beta = draw(ratios.filter(bool))
+        f = curve_of({(0, 1): 1, (2, 0): -1},
+                     {(0, 1): 1, (2, 0): -1, (1, 1): alpha,
+                      (0, 2): beta}).coeffs
+        known = ([((0, 0), 7)] if kind == "A7" else
+                 [((0, 0), 5), ((-alpha / beta, alpha ** 2 / beta ** 2), 1)])
+    # f(x0 + x + shear*y, y0 + y) is singular where f is, moved back
+    x0, y0, shear = draw(ratios), draw(ratios), draw(ratios)
+    coeffs = p_translate(f, x0, y0, shear)
+    points = [(u - x0 - shear * (v - y0), v - y0) for (u, v), _ in known]
+    return (PlaneCurve(max(a + b for a, b in coeffs), coeffs),
+            sorted(points), sum(tau for _, tau in known))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodal_unions())
+def test_tjurina_certificate_is_sound_on_nodal_unions(case):
+    curve, points, s = case
+    if locus.tjurina_certificate(curve.coeffs, s):
+        assert locus_is_exactly(curve, points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ak_curves())
+def test_tjurina_certificate_on_known_ak_points(case):
+    curve, points, s = case
+    assert locus.tjurina_certificate(curve.coeffs, s)
+    assert locus_is_exactly(curve, points)
+    assert not locus.tjurina_certificate(curve.coeffs, s - 1)
+
+
+def test_tjurina_certificate_positives():
+    # four general lines: six nodes
+    lines = [{(1, 0): 1, (0, 1): 0, (0, 0): 0}, {(1, 0): 0, (0, 1): 1},
+             {(1, 0): 1, (0, 1): 1, (0, 0): -1},
+             {(1, 0): 1, (0, 1): -2, (0, 0): 3}]
+    assert locus.tjurina_certificate(curve_of(*lines).coeffs, 6)
+    # a parabola and two secants: 2 + 2 + 1
+    para = lambda t: (Fraction(t), Fraction(t * t))
+    curve = curve_of({(0, 1): 1, (2, 0): -1}, secant(para(0), para(1)),
+                     secant(para(-1), para(2)))
+    assert locus.tjurina_certificate(curve.coeffs, 5)
+    # a line is smooth
+    assert locus.tjurina_certificate({(1, 0): 1, (0, 0): 2}, 0)
+
+
+def test_tjurina_certificate_negatives():
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import synthesize
+    spec = PIPELINE_SPECS[0]
+    quartic, _ = synthesize(spec, 4, seed=31000)
+    assert locus.tjurina_certificate(quartic.coeffs, spec.tjurina)
+    # one of its three nodes left out of s
+    assert not locus.tjurina_certificate(quartic.coeffs, spec.tjurina - 1)
+    # not reduced: h_p grows without bound
+    assert not locus.tjurina_certificate(
+        curve_of({(0, 1): 1, (2, 0): -1}, {(0, 1): 1, (2, 0): -1}).coeffs, 3)
+    # singular only at (0:1:0)
+    assert not locus.tjurina_certificate({(2, 1): 1, (0, 0): -1}, 0)
+    # the double line x^2: h_p(1) = 2, so only the t >= s guard rejects it
+    assert not locus.tjurina_certificate({(2, 0): 1}, 2)

@@ -1,15 +1,20 @@
-"""Malformed cluster files, fuzzed: each command that reads a cluster must
-answer every one with exit status 2 and a structured error report, never a
-traceback and never a silent acceptance."""
+"""Malformed input files, fuzzed: cluster files through `length`, `unload`
+and `render`, curve files through `verify --curve` and singularity lists
+through `length --in`.  Every one must be answered with exit status 2 and a
+structured error report whose error names a `$` path, never a traceback and
+never a silent acceptance."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fixture
 from nearpoints.cli import main
 from nearpoints.clusters import satellite_targets
 
@@ -33,7 +38,8 @@ not_kinds = json_values.filter(
 # null is an absent lambda, so it is not among the bad rationals
 bad_rationals = (
     st.sampled_from(["1/0", "2/4", "1/-3", "x", "", "1.5", "1/2/3", "0x10",
-                     "1e3", "--1", "1/"])
+                     "1e3", "--1", "1/", "1_0", " +3 ", "+3", "\u0663/4",
+                     "3 ", "1/ 2"])
     | json_values.filter(lambda v: v is not None and not _is_int(v)
                          and not isinstance(v, str)))
 
@@ -129,18 +135,121 @@ def malformed_cluster_docs(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None)
-@given(malformed_cluster_docs())
-def test_malformed_cluster_files_are_error_reports(doc):
+def error_of(argv):
+    """Run the CLI in process; assert an error report and return its error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code == 2, (argv, report)
+    assert report["verdict"] == "error"
+    assert report["error"].startswith("$"), report["error"]
+    return report["error"]
+
+
+def error_of_doc(doc, *argv):
+    """error_of for argv with the document, as JSON text or as data, written
+    to a file in place of the string "FILE"."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bad.json")
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-        for command in ("length", "unload", "render"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main([command, "--in", path])
-            report = json.loads(out.getvalue())
-            assert code == 2, (command, report)
-            assert report["verdict"] == "error"
-            assert isinstance(report["error"], str)
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        return error_of([path if a == "FILE" else a for a in argv])
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_cluster_docs())
+def test_malformed_cluster_files_are_error_reports(doc):
+    for command in ("length", "unload", "render"):
+        error_of_doc(doc, command, "--in", "FILE")
+
+
+rational_texts = st.builds(
+    lambda p, q: str(Fraction(p, q)), st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def malformed_curve_docs(draw):
+    """A valid curve file with exactly one fault that makes it invalid."""
+    d = draw(st.integers(0, 4))
+    mons = ["%d,%d" % (a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+    doc = {"degree": d, "coefficients": draw(st.dictionaries(
+        st.sampled_from(mons), rational_texts | st.integers(-9, 9),
+        min_size=1, max_size=4))}
+    fault = draw(st.sampled_from(["doc", "degree", "coefficients", "key",
+                                  "value", "missing key"]))
+    if fault == "doc":
+        return draw(not_objects)
+    if fault == "degree":
+        doc["degree"] = draw(not_ints | st.integers(max_value=-1))
+    elif fault == "coefficients":
+        doc["coefficients"] = draw(not_objects)
+    elif fault == "key":
+        key = draw(st.sampled_from(
+            ["01,0", "0,01", "1, 0", " 1,0", "1,0,0", "+1,0", "-1,0", "1",
+             "a,b", "\u0661,0", "1_0,0", "", ",", "%d,0" % (d + 1)]))
+        doc["coefficients"][key] = "1"
+    elif fault == "value":
+        key = draw(st.sampled_from(sorted(doc["coefficients"])))
+        doc["coefficients"][key] = draw(bad_rationals | st.none())
+    else:
+        del doc[draw(st.sampled_from(["degree", "coefficients"]))]
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_curve_docs())
+def test_malformed_curve_files_are_error_reports(doc):
+    error_of_doc(doc, "verify", "--curve", "FILE",
+                 "--union", fixture("tacnode_union.json"))
+
+
+@st.composite
+def malformed_spec_docs(draw):
+    """A singularity list with exactly one fault that makes it invalid."""
+    doc = {key: draw(st.lists(st.integers(1, 4), max_size=3))
+           for key in draw(st.sampled_from([["tacnodes"], ["cusps"],
+                                            ["tacnodes", "cusps"]]))}
+    key = draw(st.sampled_from(sorted(doc)))
+    fault = draw(st.sampled_from(["doc", "list", "entry", "order"]))
+    if fault == "doc":
+        return draw(not_objects)
+    if fault == "list":
+        doc[key] = draw(json_values.filter(lambda v: not isinstance(v, list)))
+    else:
+        bad = draw(not_ints if fault == "entry"
+                   else st.integers(max_value=0))
+        doc[key].insert(draw(st.integers(0, len(doc[key]))), bad)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_spec_docs())
+def test_malformed_singularity_lists_are_error_reports(doc):
+    # the list is refused as it is read, before `length` asks for a cluster
+    error = error_of_doc(doc, "length", "--in", "FILE")
+    assert "expected a single weighted cluster" not in error
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("text, argv, path", [
+    # an integer beyond the interpreter's conversion limit
+    ('{"chains": [{"points": [{"kind": "root", "mult": %s}]}]}' % HUGE,
+     ("length",), "$: "),
+    ('{"degree": 1, "coefficients": {"1,0": %s}}' % HUGE, ("verify",), "$: "),
+    # a repeated key, and a second spelling of the same monomial
+    ('{"degree": 1, "coefficients": {"1,0": "1", "1,0": "2"}}', ("verify",),
+     "$: "),
+    ('{"degree": 1, "coefficients": {"1,0": "1", "01,0": "2"}}', ("verify",),
+     "$.coefficients['01,0']: "),
+], ids=["huge-int-in-cluster", "huge-int-in-curve", "repeated-key",
+        "second-spelling"])
+def test_unreadable_documents_are_schema_errors(text, argv, path):
+    if argv == ("verify",):
+        argv = ("verify", "--curve", "FILE",
+                "--union", fixture("tacnode_union.json"))
+    else:
+        argv += ("--in", "FILE")
+    assert error_of_doc(text, *argv).startswith(path)

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from nearpoints import synthesis
 from nearpoints.clusters import validate, weighted_chain
+from nearpoints.io import jsonable
 from nearpoints.local_algebra import (EmbeddedCluster, contains,
                                       ideal_subspace, to_local)
 from nearpoints.plane_systems import SchemeUnion, max_rank
@@ -170,6 +173,40 @@ def test_driver_mixed():
     rep = existence_driver(SingularitySpec(tacnodes=(3,), cusps=(2,)),
                             seed=9)
     assert rep["degree"] == 6 and rep["verdict"] == "ok"
+
+
+def test_tjurina_fast_path_equals_resultant_fallback(monkeypatch):
+    from test_acceptance import PIPELINE_SPECS
+    runs = [(spec, 31000 + k) for k, spec in enumerate(PIPELINE_SPECS[:8])]
+    calls = []
+    locus_fn = synthesis.singular_locus
+    monkeypatch.setattr(synthesis, "singular_locus",
+                        lambda C: calls.append(C) or locus_fn(C))
+    fast = [json.dumps(jsonable(existence_driver(spec, seed=seed)))
+            for spec, seed in runs]
+    assert calls == []
+    monkeypatch.setattr(synthesis, "tjurina_certificate",
+                        lambda coeffs, s: False)
+    slow = [json.dumps(jsonable(existence_driver(spec, seed=seed)))
+            for spec, seed in runs]
+    assert len(calls) == len(runs)
+    assert fast == slow
+
+
+def test_shared_x_takes_the_resultant_fallback(monkeypatch):
+    bases = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)),
+             (Fraction(3), Fraction(-2))]
+    monkeypatch.setattr(synthesis, "distinct_points",
+                        lambda rng, count, height: bases[:count])
+    calls = []
+    locus_fn = synthesis.singular_locus
+    monkeypatch.setattr(synthesis, "singular_locus",
+                        lambda C: calls.append(C) or locus_fn(C))
+    rep = existence_driver(SingularitySpec(tacnodes=(1, 1, 1)), seed=4)
+    assert rep["verdict"] == "ok"
+    assert len(calls) == len(rep["attempts"])
+    assert sorted(p["point"] for p in rep["attempts"][-1]["singular_points"]) \
+        == sorted([str(x), str(y)] for x, y in bases)
 
 
 def test_dk_maximal_rank_small():
