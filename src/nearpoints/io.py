@@ -47,6 +47,20 @@ class SchemaError(ValueError):
         super().__init__("%s: %s" % (path, message))
 
 
+# characters of a rejected value that an error message repeats
+_ECHO_CHARS = 40
+
+
+def _echo(value):
+    """repr of a rejected value for an error message; a text (or the repr
+    of a non-string) longer than _ECHO_CHARS is cut to its first characters
+    and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    return "%r... (%d characters)" % (text[:_ECHO_CHARS], len(text))
+
+
 def _is_int(v):
     """JSON integers only: bool is a subclass of int in Python but not a
     number in the schema."""
@@ -55,27 +69,30 @@ def _is_int(v):
 
 def _expect_object(data, path):
     if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object, got %r" % (data,))
+        raise SchemaError(path, "expected an object, got %s" % _echo(data))
 
 
 def parse_fraction(text, path="value"):
     if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
-        raise SchemaError(path, "expected a rational string, got %r" % (text,))
+        raise SchemaError(path, "expected a rational string, got %s"
+                          % _echo(text))
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise SchemaError(path, "malformed rational %r" % text)
+        raise SchemaError(path, "malformed rational %s" % _echo(text))
     try:
         p = int(m[1])
         q = int(m[2] or 1)
     except ValueError:
         # more digits than int() converts
-        raise SchemaError(path, "malformed rational %r" % text) from None
+        raise SchemaError(path,
+                          "malformed rational %s" % _echo(text)) from None
     if q == 0:
-        raise SchemaError(path, "zero denominator in %r" % text)
+        raise SchemaError(path, "zero denominator in %s" % _echo(text))
     if gcd(abs(p), q) != 1:
-        raise SchemaError(path, "rational %r is not in lowest terms" % text)
+        raise SchemaError(path, "rational %s is not in lowest terms"
+                          % _echo(text))
     return Fraction(p, q)
 
 
@@ -184,16 +201,18 @@ def parse_curve_data(data, path="$"):
         raise SchemaError(path + ".coefficients", "expected an object")
     coeffs = {}
     for key, val in co.items():
+        kpath = "%s.coefficients[%s]" % (path, _echo(key))
         m = _MONOMIAL_KEY.fullmatch(key)
         if m is None:
-            raise SchemaError("%s.coefficients[%r]" % (path, key),
-                              "key must be 'a,b' in canonical form")
-        a, b = int(m[1]), int(m[2])
+            raise SchemaError(kpath, "key must be 'a,b' in canonical form")
+        try:
+            a, b = int(m[1]), int(m[2])
+        except ValueError:
+            # more digits than int() converts, so far beyond any degree
+            a, b = d + 1, 0
         if a + b > d:
-            raise SchemaError("%s.coefficients[%r]" % (path, key),
-                              "monomial outside degree %d" % d)
-        coeffs[(a, b)] = parse_fraction(val, "%s.coefficients[%r]"
-                                        % (path, key))
+            raise SchemaError(kpath, "monomial outside degree %d" % d)
+        coeffs[(a, b)] = parse_fraction(val, kpath)
     return PlaneCurve(d, coeffs)
 
 
@@ -216,7 +235,7 @@ def _unique_keys(pairs):
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError("duplicate key %r" % key)
+            raise ValueError("duplicate key %s" % _echo(key))
         obj[key] = value
     return obj
 

@@ -13,12 +13,32 @@ full column rank of a tall matrix) is exact; only a matrix whose mod-p rank
 falls short of it, which includes every rank-deficient one, goes to the
 fraction-free integer elimination.
 
+The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
+each row of an n-row matrix is one Python int of w-bit slots, column 0 in
+the lowest slot, with w >= 124 + bit_length(n) rounded up to whole bytes.
+Slots hold nonnegative representatives that are never reduced in place.
+A pivot step reads the low slot of every row (r & (2^w - 1), then % p).
+It folds the pivot row twice, slot by slot, with
+x -> (x mod 2^61) + (x >> 61), which keeps x mod p because 2^61 = 1 mod p;
+multiplies it by -1/v mod p for its pivot entry v; folds it once more; and
+replaces every other row r by (r >> w) + f * q, where f is the low slot of
+r and q the folded pivot row without its low slot.  So a pivot costs one
+multiply-add and one shift per row, whatever the number of columns.
+
+Exactness: two folds bring a slot below 2^62 (for n < 2^56), the product
+below 2^123 and the third fold below 2^63, so with f < 2^61 one pivot adds
+less than 2^124 to a slot.  At most n - 1 pivots reach a row, so every
+slot stays below 2^(124 + bit_length(n)) <= 2^w and never carries into its
+neighbour.  The packed rows are therefore the rows of the plain elimination
+mod p, slot for slot up to multiples of p, and the rank is the GF(p) rank.
+
 Reduced row echelon forms are computed by integer Gauss-Jordan on sparse
 primitive rows (content 1), with a single division by the pivot per row at
 the very end.  The result is canonical over Q, so row spaces can be compared
 by equality.
 """
 
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -39,15 +59,20 @@ def _to_sparse_int_rows(rows, ncols):
             items = ((j, v) for j, v in enumerate(row))
         entries = {}
         den = 1
+        ints = True  # every entry is a plain int: the row is ready as is
         for j, v in items:
             if not v:
                 continue
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
+            if type(v) is not int:
+                ints = False
+                if isinstance(v, Fraction):
+                    den = den * v.denominator // gcd(den, v.denominator)
             entries[j] = v
         if not entries:
             continue
-        if den == 1:
+        if ints:
+            out.append(entries)
+        elif den == 1:
             out.append({j: int(v) for j, v in entries.items()})
         else:
             out.append({j: int(v * den) for j, v in entries.items()})
@@ -100,32 +125,49 @@ def _densify(sparse_rows):
     return dense, len(cols)
 
 
-def _rank_mod(dense, ncols, p=_P61):
-    rows = [[v % p for v in r] for r in dense]
+def _rank_mod(dense, ncols):
+    """Rank over GF(p), p = 2^61 - 1, of a dense integer matrix.
+
+    Each row is packed into one int of w-bit slots, column 0 lowest, and a
+    pivot step clears a column with one multiply-add and one shift per row;
+    see the module docstring for why no slot ever carries into the next."""
+    nrows = len(dense)
+    if not nrows or not ncols:
+        return 0
+    p = _P61
+    nbytes = (124 + nrows.bit_length() + 7) // 8
+    w = 8 * nbytes
+    low = (1 << w) - 1
+    # every slot's low 61 bits, and its low w - 61 bits
+    lo61 = int.from_bytes(p.to_bytes(nbytes, "little") * ncols, "little")
+    hi = int.from_bytes(((1 << (w - 61)) - 1).to_bytes(nbytes, "little")
+                        * ncols, "little")
+    # a residue < 2^61 fills the low 8 bytes of its slot, zeros the rest
+    pack = struct.Struct("<" + "Q%dx" % (nbytes - 8) * ncols).pack
+    rows = [int.from_bytes(pack(*[v % p for v in r]), "little")
+            for r in dense]
     rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
+    for _ in range(ncols):
+        lead = [(r & low) % p for r in rows]
+        for piv, v in enumerate(lead):
+            if v:
                 break
-        if piv is None:
-            col += 1
+        else:
+            rows = [r >> w for r in rows]
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        prow = rows[rank]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col]
-            if f:
-                f = f * inv % p
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = (ri[j] - f * prow[j]) % p
         rank += 1
-        col += 1
+        q = rows.pop(piv)
+        if not rows:
+            break
+        del lead[piv]
+        # two folds: every slot < 2^61 + 2^(w - 121) < 2^62
+        q = (q & lo61) + ((q >> 61) & hi)
+        q = (q & lo61) + ((q >> 61) & hi)
+        # times -1/v and folded: the pivot slot is = -1 mod p and every
+        # slot < 2^63, so f * q adds less than 2^124 to a slot
+        q *= p - pow(v, -1, p)
+        q = (q & lo61) + ((q >> 61) & hi)
+        rows = [(r + f * q) >> w for r, f in zip(rows, lead)]
     return rank
 
 

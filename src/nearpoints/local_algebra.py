@@ -362,7 +362,6 @@ def ideal_subspace(ec, trunc=None):
         raise ValueError("truncation %d below the saturation degree %d"
                          % (trunc, need))
     cs = local_conditions(ec)
-    idx = monomial_index(trunc)
     rows = []
     for row in cs.rows:
         rows.append(dict(row))  # column order of cs embeds in that of trunc

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import _densify, _rank_mod
+from . import linalg
 from .polyops import p_min_deg, p_translate
 
 # x0 values tried, in order, for the irreducibility specialization; the
@@ -200,7 +200,7 @@ def tjurina_certificate(coeffs, s):
         rows = [{(i + u, j + v): c for (i, j), c in g.items()}
                 for u in range(e + 1) for v in range(e + 1 - u)
                 for g in grads]
-        h = (t + 1) * (t + 2) // 2 - _rank_mod(*_densify(rows))
+        h = (t + 1) * (t + 2) // 2 - linalg._rank_mod(*linalg._densify(rows))
         if h <= s:
             # below s only when the premise on s is wrong
             return h == s

@@ -8,6 +8,7 @@ polynomial rings in `locus`.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from types import MappingProxyType
 
 
 def p_clean(p):
@@ -115,14 +116,13 @@ def p_primitive(p):
     return ints
 
 
+@lru_cache(maxsize=None)
 def monomials(max_deg):
     """Monomial order used throughout: graded, then by x-exponent descending;
-    (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ..."""
-    out = []
-    for d in range(max_deg + 1):
-        for a in range(d, -1, -1):
-            out.append((a, d - a))
-    return out
+    (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...  One shared tuple per
+    degree."""
+    return tuple((a, d - a) for d in range(max_deg + 1)
+                 for a in range(d, -1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +132,11 @@ def monomial_key(e):
     return "%d,%d" % e
 
 
+@lru_cache(maxsize=None)
 def monomial_index(max_deg):
-    return {e: i for i, e in enumerate(monomials(max_deg))}
+    """Monomial -> its column in `monomials(max_deg)`, as one shared
+    read-only mapping per degree."""
+    return MappingProxyType({e: i for i, e in enumerate(monomials(max_deg))})
 
 
 def vector_of(p, max_deg):

@@ -151,6 +151,36 @@ def test_invalid_cluster_is_a_schema_error(capsys, tmp_path, command, base):
     assert rep["error"].startswith("$.chains[0].points[1].extra_prox:")
 
 
+@pytest.mark.parametrize("base, message", [
+    (["9" * 5000, "0"], "malformed rational"),
+    (["6" * 3000 + "/2", "0"], "is not in lowest terms"),
+    (["1/" + "0" * 3000, "0"], "zero denominator"),
+])
+def test_long_rejected_rational_is_echoed_short(capsys, tmp_path, base,
+                                                message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"chains": [
+        {"base": base, "points": [{"kind": "root", "mult": 2}]}]}))
+    code, rep = run_cli(capsys, "length", "--in", str(bad))
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["error"].startswith("$.chains[0].base[0]: ")
+    assert message in rep["error"]
+    assert "(%d characters)" % len(base[0]) in rep["error"]
+    assert len(rep["error"]) < 150
+
+
+def test_long_curve_key_is_a_schema_error(capsys, tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"degree": 2,
+                                 "coefficients": {"9" * 5000 + ",0": "1"}}))
+    code, rep = run_cli(capsys, "verify", "--curve", str(curve),
+                        "--union", fixture("tacnode_union.json"))
+    assert code == 2 and rep["verdict"] == "error"
+    assert rep["error"].startswith("$.coefficients['99")
+    assert rep["error"].endswith("monomial outside degree 2")
+    assert len(rep["error"]) < 150
+
+
 def test_parse_minimal_cluster(tmp_path):
     from nearpoints.io import parse_inputs
     from nearpoints.clusters import WeightedCluster

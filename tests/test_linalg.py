@@ -220,3 +220,96 @@ def test_solve_dense_solves_or_proves_inconsistency(mat_n, data):
         assert linalg.rank(aug, n + 1) == linalg.rank(dense, n) + 1
     else:
         assert [sum(a * v for a, v in zip(r, x)) for r in dense] == rhs
+
+
+# Reference: the per-cell GF(p) elimination that _rank_mod was before it ran
+# on packed rows.
+
+P61 = (1 << 61) - 1
+
+
+def per_cell_rank_mod(dense, ncols, p=P61):
+    rows = [[v % p for v in r] for r in dense]
+    rank = 0
+    col = 0
+    nrows = len(rows)
+    while rank < nrows and col < ncols:
+        piv = None
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        prow = rows[rank]
+        for i in range(rank + 1, nrows):
+            f = rows[i][col]
+            if f:
+                f = f * inv % p
+                ri = rows[i]
+                for j in range(col, ncols):
+                    ri[j] = (ri[j] - f * prow[j]) % p
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def modular_matrices(draw):
+    """Dense integer matrices for the mod-p rank: entries that vanish or
+    wrap around mod p (multiples of p, p - 1, 1 - p), small and 200-bit
+    entries of both signs; any shape from 0 x 0 through 1 x n and n x 1;
+    zero rows and columns; and products B @ C of inner dimension below both
+    sides, whose rank falls short of min(rows, cols) over Q and mod p."""
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([P61, -P61, 2 * P61, 3 * P61, P61 - 1, 1 - P61,
+                         P61 + 1]),
+        st.integers(-(1 << 200), 1 << 200))
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if draw(st.booleans()) and min(m, n) >= 2:
+        k = draw(st.integers(0, min(m, n) - 1))
+        B = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                          min_size=m, max_size=m))
+        C = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+        mat = [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)]
+               for i in range(m)]
+    else:
+        mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                            min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
+        if i < m:
+            mat[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+        if j < n:
+            for row in mat:
+                row[j] = 0
+    return mat, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(modular_matrices())
+def test_rank_mod_matches_per_cell_elimination(mat_n):
+    mat, n = mat_n
+    assert linalg._rank_mod(mat, n) == per_cell_rank_mod(mat, n)
+
+
+def test_rank_mod_at_the_slot_width_bound():
+    # 130 rows of residues in [0, p): every pivot reaches every later row,
+    # so the slots grow close to the 2^(124 + bit_length(130)) bound; ten
+    # rows are sums of two earlier rows, so the elimination runs past rank
+    import random
+    rng = random.Random(130)
+    n = 130
+    mat = [[rng.randrange(P61) for _ in range(n)] for _ in range(n - 10)]
+    for _ in range(10):
+        a, b = rng.sample(mat, 2)
+        mat.insert(rng.randrange(len(mat) + 1), [x + y for x, y in zip(a, b)])
+    assert per_cell_rank_mod(mat, n) == n - 10
+    assert linalg._rank_mod(mat, n) == n - 10
+    full = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
+    assert linalg._rank_mod(full, n) == per_cell_rank_mod(full, n) == n

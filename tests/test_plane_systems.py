@@ -103,6 +103,29 @@ def test_max_rank_exception_m4():
     assert [f["degree"] for f in fails] == [6]
 
 
+def test_max_rank_window_agrees_with_a_full_audit():
+    # the default window [d_low, d_low+2] against every degree up to
+    # d_low+5 on seeded unions of one multiple point with doubles and
+    # simples, some with a two-point chain
+    import random
+    rng = random.Random(2024)
+    verdicts = []
+    for trial in range(30):
+        systems = ([(rng.randint(2, 6),)] + [(2,)] * rng.randint(0, 6)
+                   + [(1,)] * rng.randint(0, 5)
+                   + rng.sample([(2, 2), (2, 1), (3, 2), (1, 1)],
+                                rng.randint(0, 1)))
+        Z = generic_union(systems, seed=trial)
+        window = max_rank(Z)
+        d_low = level_floor(window["length"])
+        assert window["degrees"] == [d_low, d_low + 1, d_low + 2]
+        full = max_rank(Z, range(d_low + 6))
+        assert window["ok"] == full["ok"], systems
+        verdicts.append(window["ok"])
+    # both verdicts occur, so the agreement is not vacuous
+    assert set(verdicts) == {True, False}
+
+
 def test_level_floor():
     assert level_floor(6) == 2
     assert level_floor(9) == 2
