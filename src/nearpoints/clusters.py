@@ -113,8 +113,8 @@ def weighted_chain(extras, mults):
     return WeightedCluster(single_chain(extras), tuple(mults))
 
 
-def system(m_head, twos, ones, head=None):
-    """Multiplicity tuple (m, 2^twos, 1^ones); head=None drops the head."""
+def system(m_head, twos, ones):
+    """Multiplicity tuple (m, 2^twos, 1^ones); m_head=None drops the head."""
     out = [] if m_head is None else [m_head]
     out += [2] * twos + [1] * ones
     return tuple(out)
@@ -240,6 +240,7 @@ def render_enriques(wc, fmt="ascii"):
                 else:
                     parts.append("p%d[%d,sat->%d]" % (k, m, ch[k]))
             lines.append("chain %d: %s" % (c, " -- ".join(parts)))
+            off += len(ch)
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         out = ["digraph enriques {"]

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here is exact: matrices carry Python ints or Fractions, given as
-dict rows (sparse, col -> value) or as sequences.  rank and rref both first
-scale each row by the lcm of its denominators to a sparse integer row, so
-the elimination itself runs on integers.
+dict rows (sparse, col -> value) or as sequences.  rank and echelon both
+first scale each row by the lcm of its denominators to a sparse integer row,
+so the elimination itself runs on integers.
 
 Ranks are computed by fraction-free (Bareiss) elimination, with a single
 modular elimination as a fast certificate: a nonzero minor mod p is nonzero
@@ -32,10 +32,12 @@ slot stays below 2^(124 + bit_length(n)) <= 2^w and never carries into its
 neighbour.  The packed rows are therefore the rows of the plain elimination
 mod p, slot for slot up to multiples of p, and the rank is the GF(p) rank.
 
-Reduced row echelon forms are computed by integer Gauss-Jordan on sparse
-primitive rows (content 1), with a single division by the pivot per row at
-the very end.  The result is canonical over Q, so row spaces can be compared
-by equality.
+The canonical form of a row space is `echelon`: integer Gauss-Jordan on
+sparse primitive rows (content 1), returning sparse integer rows, each the
+reduced echelon row times the lcm of its denominators.  Row spaces compare
+by equality of their echelon forms, and `kernel` reads a sparse kernel
+basis off one.  `rref` and `nullspace` are dense Fraction renderings of
+these two.
 """
 
 import struct
@@ -43,8 +45,8 @@ from fractions import Fraction
 from math import gcd
 
 _P61 = (1 << 61) - 1  # Mersenne prime
-# every zero entry rref emits is this one object, so comparing two outputs
-# meets mostly identical entries
+# every zero entry rref and nullspace emit is this one object, so comparing
+# two outputs meets mostly identical entries
 _ZERO = Fraction(0)
 
 
@@ -260,19 +262,18 @@ def _eliminate(row, prow, col):
     return _primitive(out) if out else out
 
 
-def rref(rows, ncols):
-    """Canonical reduced row echelon form over Q.
+def echelon(rows, ncols):
+    """Canonical echelon form over Q, as sparse integer rows.
 
     rows may be dicts (sparse, col -> value) or sequences, with int or
-    Fraction entries.  The elimination is an integer Gauss-Jordan on sparse
-    primitive rows: each row is reduced against the pivot rows found so far
-    in leading-column order, every pivot column is then cleared from the
-    pivot rows above it, and only at the end is each row divided by its
-    pivot entry.
+    Fraction entries.  Each row is reduced against the pivot rows found so
+    far in leading-column order, then every pivot column is cleared from
+    the pivot rows above it.
 
-    Returns (rref_rows, pivot_cols); rref_rows is a tuple of tuples of
-    Fractions with leading ones, zero rows dropped.  Two matrices have the
-    same row space iff their rref outputs are equal.
+    Returns a tuple of dict rows in increasing pivot order, zero rows
+    dropped: each reduced echelon row times the lcm of its denominators, so
+    primitive, positive at its pivot (its smallest column) and zero in every
+    other pivot column.  Row spaces are equal iff their echelon forms are.
     """
     by_lead = {}  # pivot column -> primitive integer row leading there
     for row in _to_sparse_int_rows(rows, ncols):
@@ -297,31 +298,55 @@ def rref(rows, ncols):
     out = []
     for col in pivots:
         row = by_lead[col]
-        piv = row[col]
-        dense = [_ZERO] * ncols
+        if max(row) >= ncols:
+            raise ValueError("column %d beyond %d columns" % (max(row), ncols))
+        out.append(row if row[col] > 0 else {c: -v for c, v in row.items()})
+    return tuple(out)
+
+
+def kernel(ech, ncols):
+    """Basis of the right kernel of an echelon form: one sparse
+    {col: Fraction} vector per free column, in free-column order, 1 there
+    and 0 at the other free columns, entries in increasing column order."""
+    pivots = [min(row) for row in ech]
+    entries = {}  # free column -> [(pivot column, kernel entry)]
+    for row, pc in zip(ech, pivots):
         for c, v in row.items():
-            dense[c] = Fraction(v, piv)
-        out.append(tuple(dense))
-    return tuple(out), pivots
+            if c != pc:
+                entries.setdefault(c, []).append((pc, Fraction(-v, row[pc])))
+    pivots = set(pivots)
+    return [dict(entries.get(fc, ())) | {fc: Fraction(1)}
+            for fc in range(ncols) if fc not in pivots]
+
+
+def _dense(vec, ncols):
+    out = [_ZERO] * ncols
+    for c, v in vec.items():
+        out[c] = v
+    return tuple(out)
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q: `echelon` rendered dense.
+
+    Returns (rref_rows, pivot_cols); rref_rows is a tuple of tuples of
+    Fractions with leading ones, zero rows dropped.  Two matrices have the
+    same row space iff their rref outputs are equal.
+    """
+    ech = echelon(rows, ncols)
+    pivots = [min(row) for row in ech]
+    return tuple(_dense({c: Fraction(v, row[pc]) for c, v in row.items()},
+                        ncols) for row, pc in zip(ech, pivots)), pivots
 
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel, read off a reduced echelon form.
+    """Basis of the right kernel: `kernel` rendered dense.
 
     Returns a list of length-ncols tuples of Fractions; each vector has a 1
     in its own free column, so the list is itself in echelon form.
     """
-    red, pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(tuple(vec))
-    return basis
+    return [_dense(vec, ncols)
+            for vec in kernel(echelon(rows, ncols), ncols)]
 
 
 def row_space_contains(outer_rows, inner_rows, ncols):
@@ -330,18 +355,3 @@ def row_space_contains(outer_rows, inner_rows, ncols):
     r_join = rank(list(outer_rows) + list(inner_rows), ncols)
     return r_outer == r_join
 
-
-def solve_dense(rows, rhs, ncols):
-    """One exact solution x of rows @ x = rhs, or None if inconsistent."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row) if isinstance(row, dict) else dict(enumerate(row))
-        r[ncols] = b
-        aug.append(r)
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x

@@ -303,14 +303,19 @@ def colength(ec):
 class IdealSubspace:
     """The ideal of a cluster scheme, truncated in degree.
 
-    Stored dually: `conditions` is the canonical reduced row echelon form of
-    the defining linear functionals on germs of degree <= trunc.  Two
-    subspaces are equal iff truncation and conditions agree.  The kernel
-    basis (the ideal side) is materialized on demand.
+    Stored dually: `conditions` holds the defining linear functionals on
+    germs of degree <= trunc, given as any rows and kept as their canonical
+    `linalg.echelon` form (sparse primitive integer rows).  Two subspaces
+    are equal iff truncation and conditions agree.  The kernel basis (the
+    ideal side) is materialized on demand.
     """
 
     trunc: int
     conditions: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "conditions",
+                           linalg.echelon(self.conditions, self.ncols))
 
     @property
     def ncols(self):
@@ -327,22 +332,16 @@ class IdealSubspace:
     def basis(self):
         """Reduced echelon basis of the truncated ideal, one polynomial per
         vector."""
-        from .polyops import poly_of
-        vecs = linalg.nullspace(list(self.conditions), self.ncols)
-        return [poly_of(v, self.trunc) for v in vecs]
+        mons = monomials(self.trunc)
+        return [{mons[c]: v for c, v in vec.items()}
+                for vec in linalg.kernel(self.conditions, self.ncols)]
 
     def contains_subspace(self, other):
         """other <= self as subspaces (needs equal truncations)."""
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        return linalg.row_space_contains(list(other.conditions),
-                                         list(self.conditions), self.ncols)
-
-
-def _subspace_from_rows(rows, trunc):
-    ncols = len(monomials(trunc))
-    red, _ = linalg.rref(list(rows), ncols)
-    return IdealSubspace(trunc, red)
+        return linalg.row_space_contains(other.conditions, self.conditions,
+                                         self.ncols)
 
 
 def default_truncation(mults):
@@ -362,24 +361,16 @@ def ideal_subspace(ec, trunc=None):
         raise ValueError("truncation %d below the saturation degree %d"
                          % (trunc, need))
     cs = local_conditions(ec)
-    rows = []
-    for row in cs.rows:
-        rows.append(dict(row))  # column order of cs embeds in that of trunc
     if cs.max_deg > trunc:
         raise AssertionError("condition support exceeds the truncation")
-    return _subspace_from_rows(rows, trunc)
+    return IdealSubspace(trunc, cs.rows)  # cs columns embed in trunc's
 
 
 def contains(H, f):
     """Ideal membership of a germ, degree <= truncation enforced."""
-    f = p_clean(f)
-    if p_min_deg(f) == -1:
-        return True
-    vec = vector_of(f, H.trunc)
-    for row in H.conditions:
-        if sum(row[c] * vec[c] for c in range(len(vec)) if vec[c] and row[c]):
-            return False
-    return True
+    vec = vector_of(p_clean(f), H.trunc)
+    return not any(sum(v * vec[c] for c, v in row.items())
+                   for row in H.conditions)
 
 
 def colon_subspace(H, f, e=None):
@@ -404,17 +395,15 @@ def colon_subspace(H, f, e=None):
     # entry at monomial (a2, b2) meets the term c x^a y^b of f at the
     # monomial (a2-a, b2-b) of g
     for cond in H.conditions:
-        entries = [(mons[j], v) for j, v in enumerate(cond) if v]
-        den = lcm(*(v.denominator for _, v in entries))
         row = {}
-        for (a2, b2), v in entries:
-            v = v.numerator * (den // v.denominator)
+        for j, v in cond.items():
+            a2, b2 = mons[j]
             for a, b, c in terms:
                 if a <= a2 and b <= b2:
                     col = idx[(a2 - a, b2 - b)]
                     row[col] = row.get(col, 0) + c * v
         rows.append(row)
-    return _subspace_from_rows(rows, H.trunc)
+    return IdealSubspace(H.trunc, rows)
 
 
 def _germ_state(f):

@@ -130,7 +130,8 @@ def max_rank(Z, degrees=None):
     level floor of the total length; below the floor the conditions crush
     the whole space once they do at d_low, and independence propagates
     upward degree by degree, so the finite window decides the verdict.
-    Pass degrees (an iterable) to audit any explicit set instead.
+    Pass degrees (an iterable) to audit any explicit set instead; an empty
+    one is a ValueError, as there is nothing to give a verdict on.
     """
     Zn = Z.normalized()
     L = Zn.total_length
@@ -138,6 +139,8 @@ def max_rank(Z, degrees=None):
         d_low = level_floor(L)
         degrees = range(d_low, d_low + 3)
     degrees = list(degrees)
+    if not degrees:
+        raise ValueError("no degree to audit")
     detail = []
     ok = True
     for d in degrees:

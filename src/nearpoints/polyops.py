@@ -149,11 +149,6 @@ def vector_of(p, max_deg):
     return vec
 
 
-def poly_of(vec, max_deg):
-    mons = monomials(max_deg)
-    return p_clean({mons[i]: c for i, c in enumerate(vec)})
-
-
 # univariate helpers (lists of Fractions, index = degree)
 
 def u_clean(u):

@@ -71,6 +71,15 @@ def test_maxrank_all_degrees(capsys):
     assert rep["results"]["degrees"] == list(range(7))
 
 
+def test_maxrank_without_degrees_is_an_error(capsys):
+    # --all-degrees-up-to -1 leaves nothing to audit: no verdict to give
+    code, rep = run_cli(capsys, "maxrank", "--in",
+                        fixture("tacnode_union.json"),
+                        "--all-degrees-up-to", "-1")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "no degree" in rep["error"]
+
+
 def test_maxrank_error_on_missing_file(capsys):
     assert main(["maxrank", "--in", fixture("nope.json")]) == 2
     capsys.readouterr()

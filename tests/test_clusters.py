@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearpoints.clusters import (WeightedCluster, excesses, free_chain,
-                                 is_consistent, matches_stratum,
+from nearpoints.clusters import (Cluster, WeightedCluster, excesses,
+                                 free_chain, is_consistent, matches_stratum,
                                  parse_enriques, proximity_matrix,
                                  render_enriques, satellite_targets,
                                  single_chain, us_chain, validate,
@@ -101,11 +101,14 @@ def test_excesses_match_proximity_matrix(seed, npts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6))
-def test_render_round_trip(seed, npts):
+@given(st.integers(0, 10_000),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_render_round_trip(seed, sizes):
+    # forests of 1-3 chains: every chain shows its own multiplicities
     rng = rng_from(seed, "render-prop")
-    wc = WeightedCluster(random_chain(rng, npts),
-                         tuple(rng.randint(0, 5) for _ in range(npts)))
+    forest = Cluster(tuple(random_chain(rng, n).chains[0] for n in sizes))
+    wc = WeightedCluster(forest,
+                         tuple(rng.randint(0, 5) for _ in range(forest.r)))
     assert parse_enriques(render_enriques(wc)) == wc
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearpoints import linalg
@@ -72,16 +73,18 @@ def test_rref_canonical_and_nullspace():
         assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def test_columns_beyond_ncols_are_rejected():
+    for rows in ([{0: 1, 3: 2}], [[1, 0, 0, 2]], [{3: 1}]):
+        with pytest.raises(ValueError):
+            linalg.echelon(rows, 3)
+        with pytest.raises(ValueError):
+            linalg.nullspace(rows, 3)
+
+
 def test_row_space_contains():
     A = [[1, 0, 0], [0, 1, 0]]
     assert linalg.row_space_contains(A, [[2, 3, 0]], 3)
     assert not linalg.row_space_contains(A, [[0, 0, 1]], 3)
-
-
-def test_solve_dense():
-    x = linalg.solve_dense([[1, 1], [1, -1]], [3, 1], 2)
-    assert x == [Fraction(2), Fraction(1)]
-    assert linalg.solve_dense([[1, 1], [2, 2]], [1, 3], 2) is None
 
 
 @st.composite
@@ -204,22 +207,6 @@ def test_rref_of_height_1000_rationals():
              for _ in range(12)] for _ in range(9)]
     rows.append([sum(r[j] for r in rows[:4]) for j in range(12)])
     assert linalg.rref(rows, 12) == dense_fraction_rref(rows, 12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(mixed_matrices(), st.data())
-def test_solve_dense_solves_or_proves_inconsistency(mat_n, data):
-    rows, n = mat_n
-    rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows),
-                             max_size=len(rows)))
-    x = linalg.solve_dense(rows, rhs, n)
-    dense = [[r.get(j, 0) for j in range(n)] if isinstance(r, dict)
-             else list(r) + [0] * (n - len(r)) for r in rows]
-    if x is None:
-        aug = [r + [b] for r, b in zip(dense, rhs)]
-        assert linalg.rank(aug, n + 1) == linalg.rank(dense, n) + 1
-    else:
-        assert [sum(a * v for a, v in zip(r, x)) for r in dense] == rhs
 
 
 # Reference: the per-cell GF(p) elimination that _rank_mod was before it ran

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nearpoints import linalg
 from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
                                  us_chain, weighted_chain)
 from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
@@ -488,7 +489,7 @@ def dense_colon_subspace(H, f):
             for (a, b), c in f.items():
                 ee = (a + a2, b + b2)
                 if ee[0] + ee[1] <= H.trunc:
-                    v = cond[idx[ee]]
+                    v = cond.get(idx[ee], 0)
                     if v:
                         acc += c * v
             if acc:
@@ -514,3 +515,61 @@ def test_colon_matches_dense_oracle(ec, data):
     for g in (p_clean(f), data.draw(germs)):
         if g:
             assert colon_subspace(H, g) == dense_colon_subspace(H, g)
+
+
+# Reference: the kernel basis as IdealSubspace.basis read it while the
+# conditions were dense rref rows: the nullspace of the dense Fraction rref,
+# one polynomial per vector through the dense monomial vector.
+
+def dense_basis(H):
+    red, pivots = dense_fraction_rref(list(H.conditions), H.ncols)
+    mons = monomials(H.trunc)
+    basis = []
+    for fc in range(H.ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * H.ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(p_clean({mons[i]: c for i, c in enumerate(vec)}))
+    return basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_chains(max_points=4, max_mult=3), st.data())
+def test_ideal_subspace_canonical_form(ec, data):
+    H = ideal_subspace(ec)
+    rows = [dict(r) for r in local_conditions(ec).rows]
+    # the same row space as raw rows, as dense rref rows, and as the rows
+    # scaled by nonzero rationals, padded with combinations and shuffled
+    scale = st.fractions(min_value=-40, max_value=40,
+                         max_denominator=30).filter(bool)
+    mixed = []
+    for row in rows:
+        c = data.draw(scale)
+        mixed.append({j: c * v for j, v in row.items()})
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                    max_size=len(rows)))
+        pad = {}
+        for c, row in zip(coeffs, rows):
+            for j, v in row.items():
+                pad[j] = pad.get(j, 0) + c * v
+        mixed.append(pad)
+    mixed = data.draw(st.permutations(mixed))
+    raw = IdealSubspace(H.trunc, rows)
+    dense = IdealSubspace(H.trunc, linalg.rref(rows, H.ncols)[0])
+    assert raw == dense == IdealSubspace(H.trunc, mixed) == H
+    # the stored form: primitive integer rows, positive at increasing
+    # pivots, zero at every other row's pivot
+    pivots = [min(row) for row in H.conditions]
+    assert pivots == sorted(set(pivots))
+    for row, pc in zip(H.conditions, pivots):
+        assert all(type(v) is int and v for v in row.values())
+        assert row[pc] > 0 and gcd(*row.values()) == 1
+        assert not set(row) & set(pivots) - {pc}
+    # the sparse kernel basis is the dense one, vector for vector and
+    # monomial for monomial
+    assert ([list(g.items()) for g in H.basis()]
+            == [list(g.items()) for g in dense_basis(H)])
