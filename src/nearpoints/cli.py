@@ -9,7 +9,6 @@ timings block.  Exit status: 0 when the verdict is ok, 1 when it is fail,
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -18,21 +17,12 @@ from .clusters import WeightedCluster, render_enriques
 from .io import SchemaError, cluster_to_data, jsonable, parse_inputs
 from .plane_systems import (SchemeUnion, condition_matrix,
                             exception_catalog, expected_dimension, max_rank)
+from .sampling import DEFAULT_HEIGHT
 from .specialization import (limit_dimension_experiment, limit_identities_sweep,
                              semicontinuity_experiment)
 from .synthesis import (PlaneCurve, SingularitySpec, existence_driver,
                         verify_sharp)
 from .unloading import length, unload
-
-ENV_HEIGHT = "NEARPOINTS_HEIGHT"
-
-
-def _default_height():
-    try:
-        return max(2, int(os.environ.get(ENV_HEIGHT, "100")))
-    except ValueError:
-        return 100
-
 
 def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip() != ""]
@@ -117,7 +107,11 @@ def _as_union(obj):
 
 def run(args):
     """Dispatch one parsed command line; returns (results, verdict)."""
-    height = getattr(args, "height", None) or _default_height()
+    height = getattr(args, "height", None)
+    if height is None:
+        height = DEFAULT_HEIGHT
+    elif height < 1:
+        raise ValueError("--height must be at least 1, got %d" % height)
     cmd = args.command
     if cmd == "unload":
         wc = _as_weighted(parse_inputs(args.infile))

@@ -96,13 +96,6 @@ def parse_fraction(text, path="value"):
     return Fraction(p, q)
 
 
-def format_fraction(v):
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return "%d/%d" % (v.numerator, v.denominator)
-
-
 def _parse_chain(obj, path):
     _expect_object(obj, path)
     pts = obj.get("points")
@@ -269,10 +262,9 @@ def cluster_to_data(obj):
     if isinstance(obj, EmbeddedCluster):
         chain = _chain_data(obj.weighted.cluster.chains[0],
                             obj.mults, obj.lambdas)
-        chain["base"] = [format_fraction(obj.base[0]),
-                         format_fraction(obj.base[1])]
+        chain["base"] = [str(obj.base[0]), str(obj.base[1])]
         if obj.shear:
-            chain["shear"] = format_fraction(obj.shear)
+            chain["shear"] = str(obj.shear)
         return {"chains": [chain]}
     wc = obj
     chains = []
@@ -292,7 +284,7 @@ def _chain_data(extras, mults, lambdas):
         elif extras[k] is None:
             p = {"kind": "free", "mult": mults[k]}
             if lambdas[k] is not None:
-                p["lambda"] = format_fraction(lambdas[k])
+                p["lambda"] = str(lambdas[k])
         else:
             p = {"kind": "satellite", "mult": mults[k],
                  "extra_prox": extras[k]}
@@ -302,7 +294,7 @@ def _chain_data(extras, mults, lambdas):
 
 def curve_to_data(curve):
     return {"degree": curve.d,
-            "coefficients": {monomial_key(e): format_fraction(c)
+            "coefficients": {monomial_key(e): str(c)
                              for e, c in sorted(curve.coeffs.items())},
             "chart": "affine x,y"}
 
@@ -310,7 +302,7 @@ def curve_to_data(curve):
 def jsonable(obj):
     """Recursively convert Fractions and tuples for json.dumps."""
     if isinstance(obj, Fraction):
-        return format_fraction(obj)
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

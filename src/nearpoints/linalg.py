@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Everything here is exact: matrices carry Python ints or Fractions, given as
-dict rows (sparse, col -> value) or as sequences.  rank and echelon both
-first scale each row by the lcm of its denominators to a sparse integer row,
-so the elimination itself runs on integers.
+dict rows (sparse, col -> value) or as sequences.  `integral` and
+`primitive` are the one place in the package where rationals become integer
+rows: `integral` scales a dict by the lcm of its denominators, and
+`primitive` divides an integer row by its content and fixes its sign.  rank
+and echelon pass every input row through `integral` first, so the
+elimination itself runs on integers.
 
 Ranks are computed by fraction-free (Bareiss) elimination, with a single
 modular elimination as a fast certificate: a nonzero minor mod p is nonzero
@@ -42,7 +45,7 @@ these two.
 
 import struct
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _P61 = (1 << 61) - 1  # Mersenne prime
 # every zero entry rref and nullspace emit is this one object, so comparing
@@ -50,34 +53,39 @@ _P61 = (1 << 61) - 1  # Mersenne prime
 _ZERO = Fraction(0)
 
 
-def _to_sparse_int_rows(rows, ncols):
-    """Normalize input rows (dicts or sequences, int or Fraction entries) to
-    sparse integer dicts, scaling each row by the lcm of its denominators."""
+def integral(values):
+    """The nonzero values of a dict (int or Fraction) as integers over their
+    least common denominator: returns (ints, den) with ints[k] == v * den.
+    A dict of plain ints comes back filtered, its values untouched, over 1."""
+    ints = {k: v for k, v in values.items() if v}
+    dens = [v.denominator for v in ints.values() if type(v) is not int]
+    if not dens:
+        return ints, 1
+    den = lcm(*dens)
+    return {k: int(v * den) for k, v in ints.items()}, den
+
+
+def primitive(row, lead=None):
+    """The integer row divided by the gcd of its entries, with the sign
+    chosen so that row[lead] > 0 when lead is given; the row itself when
+    that changes nothing."""
+    g = gcd(*row.values())
+    if lead is not None and row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _to_sparse_int_rows(rows):
+    """Input rows (dicts or sequences, int or Fraction entries) as sparse
+    integer dicts, each made integral; zero rows dropped."""
     out = []
     for row in rows:
-        if isinstance(row, dict):
-            items = row.items()
-        else:
-            items = ((j, v) for j, v in enumerate(row))
-        entries = {}
-        den = 1
-        ints = True  # every entry is a plain int: the row is ready as is
-        for j, v in items:
-            if not v:
-                continue
-            if type(v) is not int:
-                ints = False
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // gcd(den, v.denominator)
-            entries[j] = v
-        if not entries:
-            continue
+        ints = integral(row if isinstance(row, dict)
+                        else dict(enumerate(row)))[0]
         if ints:
-            out.append(entries)
-        elif den == 1:
-            out.append({j: int(v) for j, v in entries.items()})
-        else:
-            out.append({j: int(v * den) for j, v in entries.items()})
+            out.append(ints)
     return out
 
 
@@ -217,16 +225,10 @@ def _rank_bareiss(dense, ncols):
 def rank(rows, ncols=None):
     """Exact rank of a matrix with int or Fraction entries.
 
-    rows may be dicts (sparse, col -> value) or dense sequences.
+    rows may be dicts (sparse, col -> value) or dense sequences.  The rank
+    depends only on the nonzero entries, so ncols is not read.
     """
-    if ncols is None:
-        ncols = 0
-        for row in rows:
-            if isinstance(row, dict):
-                ncols = max([ncols] + [c + 1 for c in row])
-            else:
-                ncols = max(ncols, len(row))
-    sparse = _to_sparse_int_rows(rows, ncols)
+    sparse = _to_sparse_int_rows(rows)
     base, rest = _structural_eliminate(sparse)
     if not rest:
         return base
@@ -235,14 +237,6 @@ def rank(rows, ncols=None):
     if rm == min(len(dense), m):
         return base + rm
     return base + _rank_bareiss(dense, m)
-
-
-def _primitive(row):
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row.values())
-    if g == 1:
-        return row
-    return {c: v // g for c, v in row.items()}
 
 
 def _eliminate(row, prow, col):
@@ -259,7 +253,7 @@ def _eliminate(row, prow, col):
             out[c] = s
         else:
             del out[c]
-    return _primitive(out) if out else out
+    return primitive(out)
 
 
 def echelon(rows, ncols):
@@ -276,8 +270,8 @@ def echelon(rows, ncols):
     other pivot column.  Row spaces are equal iff their echelon forms are.
     """
     by_lead = {}  # pivot column -> primitive integer row leading there
-    for row in _to_sparse_int_rows(rows, ncols):
-        row = _primitive(row)
+    for row in _to_sparse_int_rows(rows):
+        row = primitive(row)
         while row:
             lead = min(row)
             prow = by_lead.get(lead)
@@ -300,7 +294,7 @@ def echelon(rows, ncols):
         row = by_lead[col]
         if max(row) >= ncols:
             raise ValueError("column %d beyond %d columns" % (max(row), ncols))
-        out.append(row if row[col] > 0 else {c: -v for c, v in row.items()})
+        out.append(primitive(row, col))
     return tuple(out)
 
 

@@ -32,14 +32,14 @@ throughout.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from . import linalg
 from .clusters import (WeightedCluster, check_valid, matches_stratum,
                        satellite_targets, system)
 from .polyops import (monomials, monomial_index, p_clean, p_min_deg,
                       p_translate, vector_of)
-from .sampling import rand_fraction
+from .sampling import DEFAULT_HEIGHT, rand_fraction
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ class EmbeddedCluster:
                                self.base, self.shear)
 
 
-def embed(wc, lambdas=None, base=(0, 0), shear=0, rng=None, height=100):
+def embed(wc, lambdas=None, base=(0, 0), shear=0, rng=None,
+          height=DEFAULT_HEIGHT):
     """Embed a single-chain weighted cluster; random admissible lambdas are
     drawn from rng where not supplied."""
     extras = wc.cluster.chains[0]
@@ -143,10 +144,8 @@ def track_bounds(mults, slack=0):
     r = len(mults)
     bounds = [0] * r
     cur = 0
-    first = True
     for i in range(r - 1, -1, -1):
-        cur = mults[i] + (0 if first else max(0, cur))
-        first = False
+        cur = mults[i] + max(0, cur)
         bounds[i] = max(cur, 0) + slack
     return bounds
 
@@ -209,15 +208,6 @@ def _step_kinds(ec):
     return kinds
 
 
-def _normalized_row(vec):
-    """The primitive integer row with a positive entry in its first column,
-    as a new dict; vec stores no zeros."""
-    g = gcd(*vec.values())
-    if vec[min(vec)] < 0:
-        g = -g
-    return {c: v // g for c, v in vec.items()}
-
-
 def _walk(ec, state, den, bounds, divisor):
     """Carry a state along the chain, yielding (k, state, den) at each point
     k.  The blowup leaving point k divides by x^divisor(k, state); it is
@@ -243,7 +233,8 @@ def _emit_conditions(ec, init_state, den, slack=0):
                              lambda k, _: mults[k]):
         for e in monomials(mults[k] - 1):
             vec = state.get(e)
-            rows.append((k, e, _normalized_row(vec) if vec else {}))
+            rows.append((k, e,
+                         linalg.primitive(vec, min(vec)) if vec else {}))
     return rows
 
 
@@ -388,8 +379,7 @@ def colon_subspace(H, f, e=None):
         raise ValueError("negative multiplicities in e")
     mons = monomials(H.trunc)
     idx = monomial_index(H.trunc)
-    fden = lcm(*(c.denominator for c in f.values()))
-    terms = [(a, b, int(c * fden)) for (a, b), c in f.items()]
+    terms = [(a, b, c) for (a, b), c in linalg.integral(f)[0].items()]
     rows = []
     # each functional of H composed with g -> f*g, scaled to integers: its
     # entry at monomial (a2, b2) meets the term c x^a y^b of f at the
@@ -409,10 +399,8 @@ def colon_subspace(H, f, e=None):
 def _germ_state(f):
     """A germ as a one-column state: its numerators over the lcm of its
     denominators."""
-    den = 1
-    for c in f.values():
-        den = lcm(den, Fraction(c).denominator)
-    return {e: {0: int(c * den)} for e, c in f.items() if c}, den
+    ints, den = linalg.integral(f)
+    return {e: {0: v} for e, v in ints.items()}, den
 
 
 def _germ_of(state, den):

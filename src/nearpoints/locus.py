@@ -34,7 +34,6 @@ package.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
 from .polyops import p_min_deg, p_translate
@@ -162,12 +161,6 @@ def _count_common_over(q, polys):
     return q.degree() * distinct_y
 
 
-def _integer_coefficients(coeffs):
-    """The coefficient dict scaled by the lcm of its denominators."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
-    return {e: int(Fraction(c) * den) for e, c in coeffs.items()}
-
-
 def tjurina_certificate(coeffs, s):
     """True only if the curve is reduced and its total Tjurina number, over
     all singular points of the projective closure, is at most s.
@@ -188,7 +181,7 @@ def tjurina_certificate(coeffs, s):
     When the curve is known to carry singular points whose Tjurina numbers
     sum to s, a pass proves that they are all of its singular points.
     """
-    ints = _integer_coefficients({e: c for e, c in coeffs.items() if c})
+    ints = linalg.integral(coeffs)[0]
     d = max((a + b for (a, b) in ints), default=-1)
     # the partials, each keyed by its (X, Y) exponents in degree d-1
     grads = ({(a - 1, b): a * c for (a, b), c in ints.items() if a},
@@ -213,7 +206,7 @@ def _monic_text(f, gens):
     return str(_ring(gens, True).from_dict(f).monic().as_expr())
 
 
-def singular_locus(C, check_squarefree=True):
+def singular_locus(C):
     """All singular points of the curve, exactly.
 
     C is a PlaneCurve or its coefficient dict.  Returns a dict: `affine`
@@ -221,13 +214,13 @@ def singular_locus(C, check_squarefree=True):
     reported in `affine_unlocated` as the irreducible eliminant factors they
     satisfy, counted but not located; `infinity` and `infinity_unlocated` do
     the same for the line at infinity.  A curve with a repeated factor is a
-    ValueError when check_squarefree is set.
+    ValueError.
     """
     coeffs = getattr(C, "coeffs", C)
     deg = max((a + b for (a, b) in coeffs), default=-1)
     if deg <= 0:
         raise ValueError("zero or constant curve")
-    ints = _integer_coefficients(coeffs)
+    ints = linalg.integral(coeffs)[0]
     Z2 = _ring("y,x")
     y, x = Z2.gens
     P = Z2.from_dict({(b, a): c for (a, b), c in ints.items()})
@@ -237,13 +230,11 @@ def singular_locus(C, check_squarefree=True):
     if _is_irreducible(P):
         factors = [P]
     else:
-        if check_squarefree:
-            g = P.gcd(Px).gcd(P.gcd(Py))
-            if not g.is_ground:
-                raise ValueError(
-                    "curve is not squarefree: repeated factor %s"
-                    % _monic_text({(a, b): c for (b, a), c in g.items()},
-                                  "x,y"))
+        g = P.gcd(Px).gcd(P.gcd(Py))
+        if not g.is_ground:
+            raise ValueError(
+                "curve is not squarefree: repeated factor %s"
+                % _monic_text({(a, b): c for (b, a), c in g.items()}, "x,y"))
         factors = [fac for fac, _ in P.factor_list()[1]]
 
     xcands = set()

@@ -7,8 +7,10 @@ polynomial rings in `locus`.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from types import MappingProxyType
+
+from .linalg import integral, primitive
 
 
 def p_clean(p):
@@ -35,8 +37,8 @@ def translated_monomials(x0, y0, shear, max_deg, bound=None):
     """Closed-form images of the plane monomials X^a Y^b, a + b <= max_deg,
     under the substitution X = x0 + x + shear*y, Y = y0 + y.
 
-    x0, y0 and shear are written as integer numerators X0, Y0, S over their
-    common denominator D, so that
+    x0, y0 and shear are written by `integral` as integer numerators X0, Y0,
+    S over their common denominator D, so that
 
         D^(a+b) X^a Y^b = (X0 + D x + S y)^a (Y0 + D y)^b,
 
@@ -46,11 +48,8 @@ def translated_monomials(x0, y0, shear, max_deg, bound=None):
     (D, images) with images[(a, b)] the integer polynomial D^(a+b) X^a Y^b,
     zero coefficients dropped.
     """
-    x0, y0, shear = Fraction(x0), Fraction(y0), Fraction(shear)
-    D = 1
-    for v in (x0, y0, shear):
-        D = D * v.denominator // gcd(D, v.denominator)
-    X0, Y0, S = (int(v * D) for v in (x0, y0, shear))
+    ints, D = integral({0: x0, 1: y0, 2: shear})
+    X0, Y0, S = (ints.get(k, 0) for k in range(3))
     if bound is None:
         bound = max_deg + 1
     xpow, ypow, spow, dpow = ([v ** k for k in range(max_deg + 1)]
@@ -98,22 +97,9 @@ def p_translate(p, x0, y0, shear=0):
 def p_primitive(p):
     """Scale to coprime integer coefficients with positive leading value
     (graded-lex leading)."""
-    if not p:
-        return {}
-    den = 1
-    for c in p.values():
-        f = Fraction(c)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = {e: int(Fraction(c) * den) for e, c in p.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g:
-        ints = {e: v // g for e, v in ints.items()}
-    lead = max(ints, key=lambda e: (e[0] + e[1], e[0]))
-    if ints[lead] < 0:
-        ints = {e: -v for e, v in ints.items()}
-    return ints
+    ints = integral(p)[0]
+    return primitive(ints, max(ints, key=lambda e: (e[0] + e[1], e[0]),
+                               default=None))
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,11 @@ def rand_fraction(rng, height=DEFAULT_HEIGHT, nonzero=False, forbid=()):
 
 def distinct_points(rng, count, height=DEFAULT_HEIGHT):
     """Distinct integer base points (integers are height-bounded rationals;
-    integral bases keep downstream matrices integral)."""
+    integral bases keep downstream matrices integral).  Only
+    (2*height+1)^2 exist; asking for more is a ValueError."""
+    if count > (2 * height + 1) ** 2:
+        raise ValueError("%d distinct points asked for, only %d have height "
+                         "<= %d" % (count, (2 * height + 1) ** 2, height))
     seen = set()
     out = []
     while len(out) < count:

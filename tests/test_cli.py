@@ -199,14 +199,15 @@ def test_parse_minimal_cluster(tmp_path):
     assert isinstance(wc, WeightedCluster) and wc.r == 1 and wc.mults == (2,)
 
 
-def test_height_env_var(monkeypatch):
-    from nearpoints.cli import _default_height
-    monkeypatch.setenv("NEARPOINTS_HEIGHT", "7")
-    assert _default_height() == 7
-    monkeypatch.setenv("NEARPOINTS_HEIGHT", "junk")
-    assert _default_height() == 100
-    monkeypatch.setenv("NEARPOINTS_HEIGHT", "1")
-    assert _default_height() == 2  # the bound stays >= 2
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--height", "0"],
+    ["catalog", "--height", "-4"],
+    ["synthesize", "--tacnodes", "1,1,1", "--height", "0"],
+    ["experiment", "semicontinuity", "--height", "-1"]])
+def test_height_below_one_is_an_error(capsys, argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["verdict"] == "error"
+    assert "--height" in rep["error"] and "config" not in rep
 
 
 def test_render_round(capsys):
@@ -301,14 +302,23 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _child(*args):
+def _child(*args, timeout=None):
     import nearpoints
     src = str(Path(nearpoints.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=timeout)
+
+
+def test_more_points_than_the_height_holds_is_an_error():
+    # ten components need ten distinct base points; height 1 has nine
+    proc = _child("-m", "nearpoints.cli", "synthesize", "--tacnodes",
+                  ",".join(["1"] * 10), "--height", "1", timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["verdict"] == "error" and "distinct points" in rep["error"]
 
 
 def test_cold_start_does_not_import_sympy():

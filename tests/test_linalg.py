@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,3 +301,104 @@ def test_rank_mod_at_the_slot_width_bound():
     assert linalg._rank_mod(mat, n) == n - 10
     full = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
     assert linalg._rank_mod(full, n) == per_cell_rank_mod(full, n) == n
+
+
+# integral and primitive: the one place rationals become integer rows
+
+BIG = 1 << 200
+rationals = st.one_of(
+    st.just(0), st.just(Fraction(0)),
+    st.integers(-50, 50), st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+rational_rows = st.dictionaries(st.integers(0, 20), rationals, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows)
+def test_integral_scales_by_the_least_denominator(row):
+    ints, den = linalg.integral(row)
+    nonzero = {k: v for k, v in row.items() if v}
+    assert ints.keys() == nonzero.keys()
+    assert all(type(v) is int for v in ints.values())
+    assert all(ints[k] == v * den for k, v in nonzero.items())
+    # den is the least positive integer that clears every denominator
+    assert den == lcm(*(Fraction(v).denominator for v in nonzero.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 20),
+                       st.one_of(st.just(0), st.integers(-BIG, BIG))))
+def test_integral_keeps_plain_ints_as_they_are(row):
+    ints, den = linalg.integral(row)
+    assert den == 1
+    assert ints == {k: v for k, v in row.items() if v}
+    assert all(ints[k] is row[k] for k in ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows.filter(lambda r: any(r.values())), st.data())
+def test_primitive_has_content_one_and_a_positive_lead(row, data):
+    ints = linalg.integral(row)[0]
+    lead = data.draw(st.sampled_from(sorted(ints)))
+    prim = linalg.primitive(ints, lead)
+    assert prim.keys() == ints.keys()
+    assert gcd(*prim.values()) == 1 and prim[lead] > 0
+    # a rational multiple of the row
+    assert all(prim[k] * ints[lead] == v * prim[lead]
+               for k, v in ints.items())
+    unsigned = linalg.primitive(ints)
+    assert gcd(*unsigned.values()) == 1
+    assert unsigned in (prim, {k: -v for k, v in prim.items()})
+
+
+# the helpers that integral and primitive replace, kept as oracles
+
+def old_normalized_row(vec):
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    return {c: v // g for c, v in vec.items()}
+
+
+def old_p_primitive(p):
+    if not p:
+        return {}
+    den = 1
+    for c in p.values():
+        f = Fraction(c)
+        den = den * f.denominator // gcd(den, f.denominator)
+    ints = {e: int(Fraction(c) * den) for e, c in p.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if g:
+        ints = {e: v // g for e, v in ints.items()}
+    lead = max(ints, key=lambda e: (e[0] + e[1], e[0]))
+    if ints[lead] < 0:
+        ints = {e: -v for e, v in ints.items()}
+    return ints
+
+
+def old_integer_coefficients(coeffs):
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return {e: int(Fraction(c) * den) for e, c in coeffs.items()}
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                        rationals, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys)
+def test_integral_and_primitive_match_the_old_helpers(p):
+    from nearpoints.polyops import p_clean, p_primitive
+    clean = p_clean(p)
+    # the old helpers kept zero entries; the callers passed none, or
+    # passed the result on to code that drops them
+    assert linalg.integral(p)[0] == p_clean(old_integer_coefficients(p))
+    assert p_primitive(p) == old_p_primitive(clean)
+    if clean:
+        ints = linalg.integral(clean)[0]
+        row = {a * 5 + b: v for (a, b), v in ints.items()}
+        assert linalg.primitive(row, min(row)) == old_normalized_row(row)
