@@ -224,12 +224,12 @@ def _walk(ec, state, den, bounds, divisor):
                                       divisor(k, state), bounds[k + 1])
 
 
-def _emit_conditions(ec, init_state, den, slack=0):
+def _emit_conditions(ec, init_state, den):
     """Run the pipeline and collect one normalized integer row per condition
     (point k, local monomial of degree < m_k), in walk order."""
     mults = ec.mults
     rows = []
-    for k, state, _ in _walk(ec, init_state, den, track_bounds(mults, slack),
+    for k, state, _ in _walk(ec, init_state, den, track_bounds(mults),
                              lambda k, _: mults[k]):
         for e in monomials(mults[k] - 1):
             vec = state.get(e)

@@ -168,7 +168,7 @@ def generic_union(mult_systems, seed, height=DEFAULT_HEIGHT):
     return SchemeUnion(tuple(comps))
 
 
-def max_rank_generic(mult_systems, seed, degrees=None, height=DEFAULT_HEIGHT):
+def max_rank_generic(mult_systems, seed, height=DEFAULT_HEIGHT):
     """max_rank on a seeded general-position realization.
 
     A defect triggers one independent re-draw: if the two draws disagree the
@@ -176,12 +176,12 @@ def max_rank_generic(mult_systems, seed, degrees=None, height=DEFAULT_HEIGHT):
     (the worse draw was non-generic).
     """
     Z1 = generic_union(mult_systems, seed, height)
-    rep1 = max_rank(Z1, degrees)
+    rep1 = max_rank(Z1)
     if rep1["ok"]:
         rep1["flagged"] = False
         return rep1
     Z2 = generic_union(mult_systems, seed + 0x9E3779B9, height)
-    rep2 = max_rank(Z2, degrees)
+    rep2 = max_rank(Z2)
     if rep2["detail"] == rep1["detail"]:
         rep1["flagged"] = False
         return rep1

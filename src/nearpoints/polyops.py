@@ -7,7 +7,6 @@ polynomial rings in `locus`.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 
 from .linalg import integral, primitive
@@ -34,50 +33,41 @@ def p_form(p, d):
     return {e: c for e, c in p.items() if e[0] + e[1] == d}
 
 def translated_monomials(x0, y0, shear, max_deg, bound=None):
-    """Closed-form images of the plane monomials X^a Y^b, a + b <= max_deg,
-    under the substitution X = x0 + x + shear*y, Y = y0 + y.
+    """Images of the plane monomials X^a Y^b, a + b <= max_deg, under the
+    substitution X = x0 + x + shear*y, Y = y0 + y.
 
     x0, y0 and shear are written by `integral` as integer numerators X0, Y0,
-    S over their common denominator D, so that
+    S over their common denominator D, so that D X = X0 + D x + S y and
+    D Y = Y0 + D y are integer linear forms.  In `monomials` order each
+    image is one of them times an earlier image:
 
-        D^(a+b) X^a Y^b = (X0 + D x + S y)^a (Y0 + D y)^b,
+        D^(a+b) X^a Y^b = (D X) * D^(a+b-1) X^(a-1) Y^b     for a > 0,
+        D^b Y^b         = (D Y) * D^(b-1) Y^(b-1).
 
-    whose coefficient at x^j y^t is C(a, j) D^j times the coefficient at y^t
-    of (X0 + S y)^(a-j) (Y0 + D y)^b.  Only local monomials of total degree
-    < bound are enumerated (all of them when bound is None).  Returns
-    (D, images) with images[(a, b)] the integer polynomial D^(a+b) X^a Y^b,
-    zero coefficients dropped.
+    Only local monomials of total degree < bound are kept (all of them when
+    bound is None).  The cut is exact: a linear form never lowers the
+    degree, so the terms of a product below the bound come from the terms
+    of its factor below the bound.  Returns (D, images) with images[(a, b)]
+    the integer polynomial D^(a+b) X^a Y^b, zero coefficients dropped.
     """
     ints, D = integral({0: x0, 1: y0, 2: shear})
     X0, Y0, S = (ints.get(k, 0) for k in range(3))
     if bound is None:
         bound = max_deg + 1
-    xpow, ypow, spow, dpow = ([v ** k for k in range(max_deg + 1)]
-                              for v in (X0, Y0, S, D))
-    # (X0 + S y)^m and (Y0 + D y)^b as y-coefficient lists below degree bound
-    ux = [[comb(m, k) * xpow[m - k] * spow[k]
-           for k in range(min(m + 1, bound))] for m in range(max_deg + 1)]
-    uy = [[comb(b, l) * ypow[b - l] * dpow[l]
-           for l in range(min(b + 1, bound))] for b in range(max_deg + 1)]
-    conv = {}
-    images = {}
-    for a, b in monomials(max_deg):
-        img = {}
-        for j in range(min(a, bound - 1) + 1):
-            m = a - j
-            prod = conv.get((m, b))
-            if prod is None:
-                p, q = ux[m], uy[b]
-                prod = [sum(p[k] * q[t - k]
-                            for k in range(max(0, t - len(q) + 1),
-                                           min(t, len(p) - 1) + 1))
-                        for t in range(min(len(p) + len(q) - 1, bound))]
-                conv[(m, b)] = prod
-            cj = comb(a, j) * dpow[j]
-            for t in range(min(len(prod), bound - j)):
-                if prod[t]:
-                    img[(j, t)] = cj * prod[t]
-        images[(a, b)] = img
+    # each form as (constant term, {degree-1 shift: coefficient})
+    DX = (X0, p_clean({(1, 0): D, (0, 1): S}))
+    DY = (Y0, {(0, 1): D})
+    images = {(0, 0): {(0, 0): 1} if bound > 0 else {}}
+    for a, b in monomials(max_deg)[1:]:
+        c0, lin = DX if a else DY
+        prev = images[(a - 1, b) if a else (0, b - 1)]
+        img = {e: c0 * v for e, v in prev.items()} if c0 else {}
+        for (i, j), v in prev.items():
+            if i + j + 1 < bound:
+                for (di, dj), c in lin.items():
+                    e = (i + di, j + dj)
+                    img[e] = img.get(e, 0) + c * v
+        images[(a, b)] = p_clean(img)
     return D, images
 
 def p_translate(p, x0, y0, shear=0):

@@ -8,10 +8,13 @@ processes and platforms (no dependence on hash randomization).
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 from .clusters import WeightedCluster, satellite_targets, single_chain
 
 DEFAULT_HEIGHT = 100
+# chance that a random chain's point from the third on is a satellite
+SATELLITE_PROB = 0.35
 
 
 def rng_from(seed, *labels):
@@ -33,6 +36,14 @@ def rand_fraction(rng, height=DEFAULT_HEIGHT, nonzero=False, forbid=()):
         return v
 
 
+def rational_count(height, nonzero=False):
+    """How many distinct values `rand_fraction` can draw: 0 and +-p/q in
+    lowest terms with p, q in [1, height]; 0 is left out when nonzero."""
+    coprime = sum(gcd(p, q) == 1 for p in range(1, height + 1)
+                  for q in range(1, height + 1))
+    return 1 + 2 * coprime - bool(nonzero)
+
+
 def distinct_points(rng, count, height=DEFAULT_HEIGHT):
     """Distinct integer base points (integers are height-bounded rationals;
     integral bases keep downstream matrices integral).  Only
@@ -52,20 +63,19 @@ def distinct_points(rng, count, height=DEFAULT_HEIGHT):
     return out
 
 
-def random_chain(rng, npoints, satellite_prob=0.35):
+def random_chain(rng, npoints):
     """Random valid single-chain proximity structure."""
     extras = [None, None]
     for k in range(2, npoints):
-        if rng.random() < satellite_prob:
+        if rng.random() < SATELLITE_PROB:
             extras.append(rng.choice(satellite_targets(extras, k)))
         else:
             extras.append(None)
     return single_chain(extras[:npoints])
 
 
-def random_weighted_chain(rng, max_points=6, mult_range=(0, 4),
-                          satellite_prob=0.35):
+def random_weighted_chain(rng, max_points=6, mult_range=(0, 4)):
     npoints = rng.randint(1, max_points)
-    cluster = random_chain(rng, npoints, satellite_prob)
+    cluster = random_chain(rng, npoints)
     mults = tuple(rng.randint(*mult_range) for _ in range(npoints))
     return WeightedCluster(cluster, mults)

@@ -11,7 +11,7 @@ from .clusters import (WeightedCluster, satellite_targets, single_chain,
                        us_chain)
 from .local_algebra import EmbeddedCluster, colength, embed
 from .plane_systems import stratum_ell, us_consistent, _head_system
-from .sampling import DEFAULT_HEIGHT, rand_fraction, rng_from
+from .sampling import DEFAULT_HEIGHT, rand_fraction, rational_count, rng_from
 from .unloading import length, unload
 
 
@@ -46,6 +46,8 @@ def specialize_to_satellite(ec, i, target=None):
 def semicontinuity_experiment(mults, trials=20, seed=0, height=DEFAULT_HEIGHT):
     """Sample free embedded clusters and one satellite specialization each;
     the specialized scheme must never be longer."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     mults = tuple(mults)
     r = len(mults)
     runs = []
@@ -133,7 +135,12 @@ def limit_identities(s, m, i, j):
 
 
 def limit_identities_sweep(s_max=5, m_max=10, i_max=12, j_max=12):
-    """Sweep the identity checks; returns (cases_detected, counterexamples)."""
+    """Sweep the identity checks over s in [2, s_max] and m, i, j from 0 up
+    to their bounds; returns (cases_detected, counterexamples)."""
+    if s_max < 2 or min(m_max, i_max, j_max) < 0:
+        raise ValueError("empty sweep: need s_max >= 2 and the other bounds "
+                         ">= 0, got %d, %d, %d, %d"
+                         % (s_max, m_max, i_max, j_max))
     detected = 0
     bad = []
     for s in range(2, s_max + 1):
@@ -169,19 +176,28 @@ def limit_dimension_experiment(s, i, j, d, seed=0, height=DEFAULT_HEIGHT):
 def one_more_point_lengths(ec, samples=20, seed=0, height=DEFAULT_HEIGHT):
     """Lengths of the schemes obtained by adding one simple point on the
     last exceptional divisor, across sampled positions including the
-    satellite corner(s); for a consistent base cluster they all agree."""
+    satellite corner(s); for a consistent base cluster they all agree.
+
+    The free positions are distinct rationals of height <= height; asking
+    for more than exist is a ValueError."""
     rng = rng_from(seed, "one-more-point", ec.mults)
-    out = []
     targets = ec.satellite_targets_for_next()
+    need = max(0, samples - len(targets))
+    nonzero = ec.extras[ec.r - 1] is not None
+    # at least 4*height - 2 values exist (+-p and +-1/p), so the exact count
+    # is taken only beyond that
+    if need > 4 * height - 2 and need > rational_count(height, nonzero):
+        raise ValueError("%d free positions asked for, only %d rationals "
+                         "have height <= %d"
+                         % (need, rational_count(height, nonzero), height))
+    out = []
     for tgt in targets:
         ext = ec.extend_satellite(tgt)
         out.append({"position": "satellite->%d" % tgt,
                     "colength": colength(ext)})
-    need = max(0, samples - len(out))
     seen = set()
     while need > 0:
-        lam = rand_fraction(rng, height, forbid=seen,
-                            nonzero=ec.extras[ec.r - 1] is not None)
+        lam = rand_fraction(rng, height, forbid=seen, nonzero=nonzero)
         seen.add(lam)
         ext = ec.extend_free(lam)
         out.append({"position": str(lam), "colength": colength(ext)})

@@ -23,8 +23,7 @@ from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, condition_matrix
 from . import linalg
 from .polyops import (monomial_key, monomials, p_clean, p_form, p_min_deg,
-                      p_primitive, p_translate, u_divide_out,
-                      u_is_squarefree)
+                      p_primitive, u_divide_out, u_is_squarefree)
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 
 
@@ -327,9 +326,12 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         locus_ok = False
         if (sharp and len({x for x, _ in expected}) == len(expected)
                 and tjurina_certificate(curve.coeffs, spec.tjurina)):
+            # a sharp certificate attains the prescribed multiplicity at
+            # its base, which the sheared local frame does not change
+            mult = {ec.base: c.attained[0]
+                    for ec, c in zip(union.components, certs)}
             entry["singular_points"] = [
-                {"point": list(names[b]),
-                 "multiplicity": p_min_deg(p_translate(curve.coeffs, *b))}
+                {"point": list(names[b]), "multiplicity": mult[b]}
                 for b in expected]
             entry["locus_ok"] = locus_ok = True
         else:

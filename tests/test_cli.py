@@ -80,6 +80,21 @@ def test_maxrank_without_degrees_is_an_error(capsys):
     assert "no degree" in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["semicontinuity", "--trials", "-3"],
+    ["semicontinuity", "--trials", "0"],
+    ["limit-identities", "--s-max", "1"],
+    ["limit-identities", "--m-max", "-1"],
+    ["limit-identities", "--i-max", "-1"],
+    ["limit-identities", "--j-max", "-2"],
+], ids=" ".join)
+def test_experiment_on_an_empty_range_is_an_error(capsys, argv):
+    # nothing would be checked: no verdict to give
+    code, rep = run_cli(capsys, "experiment", *argv)
+    assert code == 2 and rep["verdict"] == "error"
+    assert "results" not in rep
+
+
 def test_maxrank_error_on_missing_file(capsys):
     assert main(["maxrank", "--in", fixture("nope.json")]) == 2
     capsys.readouterr()

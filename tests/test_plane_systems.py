@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
                                       track_bounds)
-from nearpoints.polyops import monomials, p_mul, p_translate, u_divide_out
+from nearpoints.linalg import integral
+from nearpoints.polyops import (monomials, p_mul, p_translate,
+                                translated_monomials, u_divide_out)
 from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
                                       exception_catalog, expected_dimension,
                                       generic_union, level_floor, level_split,
@@ -336,6 +338,65 @@ def test_p_translate_matches_fraction_products(p, x0, y0, shear):
             expected[e] = expected.get(e, 0) + v
     assert p_translate(p, x0, y0, shear) == {e: v for e, v in expected.items()
                                              if v}
+
+
+def closed_form_translated_monomials(x0, y0, shear, max_deg, bound=None):
+    """The binomial expansion `translated_monomials` used to be, kept as the
+    reference for its recurrence:
+
+        D^(a+b) X^a Y^b = (X0 + D x + S y)^a (Y0 + D y)^b,
+
+    whose coefficient at x^j y^t is C(a, j) D^j times the coefficient at y^t
+    of (X0 + S y)^(a-j) (Y0 + D y)^b."""
+    ints, D = integral({0: x0, 1: y0, 2: shear})
+    X0, Y0, S = (ints.get(k, 0) for k in range(3))
+    if bound is None:
+        bound = max_deg + 1
+    xpow, ypow, spow, dpow = ([v ** k for k in range(max_deg + 1)]
+                              for v in (X0, Y0, S, D))
+    ux = [[comb(m, k) * xpow[m - k] * spow[k]
+           for k in range(min(m + 1, bound))] for m in range(max_deg + 1)]
+    uy = [[comb(b, l) * ypow[b - l] * dpow[l]
+           for l in range(min(b + 1, bound))] for b in range(max_deg + 1)]
+    conv = {}
+    images = {}
+    for a, b in monomials(max_deg):
+        img = {}
+        for j in range(min(a, bound - 1) + 1):
+            m = a - j
+            prod = conv.get((m, b))
+            if prod is None:
+                p, q = ux[m], uy[b]
+                prod = [sum(p[k] * q[t - k]
+                            for k in range(max(0, t - len(q) + 1),
+                                           min(t, len(p) - 1) + 1))
+                        for t in range(min(len(p) + len(q) - 1, bound))]
+                conv[(m, b)] = prod
+            cj = comb(a, j) * dpow[j]
+            for t in range(min(len(prod), bound - j)):
+                if prod[t]:
+                    img[(j, t)] = cj * prod[t]
+        images[(a, b)] = img
+    return D, images
+
+
+translation_values = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.builds(Fraction, st.integers(-2 ** 100, 2 ** 100),
+              st.integers(1, 2 ** 100)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(translation_values, translation_values, translation_values,
+       st.integers(0, 8).flatmap(
+           lambda n: st.tuples(st.just(n),
+                               st.none() | st.integers(0, n + 3))))
+def test_translated_monomials_match_closed_form(x0, y0, shear, deg_bound):
+    max_deg, bound = deg_bound
+    assert translated_monomials(x0, y0, shear, max_deg, bound) == \
+        closed_form_translated_monomials(x0, y0, shear, max_deg, bound)
 
 
 def test_u_divide_out():

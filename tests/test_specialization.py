@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from nearpoints.clusters import matches_stratum, weighted_chain
 from nearpoints.local_algebra import colength, embed
-from nearpoints.sampling import rng_from
+from nearpoints.sampling import rational_count, rng_from
 from nearpoints.specialization import (cusp_to_tacnode_chain,
                                        limit_dimension_experiment,
                                        limit_identities,
@@ -11,6 +17,8 @@ from nearpoints.specialization import (cusp_to_tacnode_chain,
                                        semicontinuity_experiment,
                                        specialize_to_satellite)
 from nearpoints.clusters import WeightedCluster, us_chain
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_specialize_us_to_us1():
@@ -93,6 +101,47 @@ def test_one_more_point_constant_length():
     rep = one_more_point_lengths(ec, samples=6, seed=1)
     assert rep["constant"]
     assert rep["values"] == [colength(ec) + 1]
+
+
+ONE_MORE_AT_HEIGHT_1 = """
+import sys
+from nearpoints.clusters import weighted_chain
+from nearpoints.local_algebra import embed
+from nearpoints.sampling import rng_from
+from nearpoints.specialization import one_more_point_lengths
+ec = embed(weighted_chain([None, None], [2, 1]), rng=rng_from(0, "ompl"),
+           height=1)
+# the satellite corner, then every one of -1, 0, 1 (and one more)
+samples = len(ec.satellite_targets_for_next()) + 3
+rep = one_more_point_lengths(ec, samples=samples + int(sys.argv[1]),
+                             height=1)
+print(len(rep["samples"]))
+"""
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_one_more_point_lengths_runs_out_of_positions(extra):
+    # at height 1 only three free positions exist: asking for one more is
+    # a ValueError at once, not an endless redraw (hence the timeout)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", ONE_MORE_AT_HEIGHT_1,
+                           str(extra)], capture_output=True, text=True,
+                          env=env, timeout=20)
+    if extra:
+        assert proc.returncode == 1
+        assert "ValueError" in proc.stderr
+        assert "only 3 rationals" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["4"]
+
+
+def test_rational_count_matches_the_draws():
+    for height in range(1, 6):
+        values = {Fraction(p, q) for p in range(-height, height + 1)
+                  for q in range(1, height + 1)}
+        assert rational_count(height) == len(values)
+        assert rational_count(height, nonzero=True) == len(values) - 1
 
 
 def test_dimension_inequality_in_length_constant_family():
