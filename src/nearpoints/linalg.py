@@ -1,27 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Everything here is exact: matrices carry Python ints or Fractions, given as
-dict rows (sparse, col -> value) or as sequences.  `integral` and
-`primitive` are the one place in the package where rationals become integer
-rows: `integral` scales a dict by the lcm of its denominators, and
-`primitive` divides an integer row by its content and fixes its sign.  rank
-and echelon pass every input row through `integral` first, so the
-elimination itself runs on integers.
+Everything here is exact.  The one row form is the sparse integer dict row
+(col -> int), from the caller to every kernel.  Input rows may also carry
+Fractions or be sequences: `integral` and `primitive` are the one place in
+the package where rationals become integer rows (`integral` scales a dict
+by the lcm of its denominators, `primitive` divides an integer row by its
+content and fixes its sign), and rank and echelon pass every row through
+`integral` first.  Column keys need only sort, so tuples serve too.
 
-Ranks are computed by fraction-free (Bareiss) elimination, with a single
-modular elimination as a fast certificate: a nonzero minor mod p is nonzero
-over Q, so the rank mod p never exceeds the rank over Q, which never exceeds
-min(rows, cols).  A mod-p rank that reaches that bound (full row rank, or
-full column rank of a tall matrix) is exact; only a matrix whose mod-p rank
-falls short of it, which includes every rank-deficient one, goes to the
-fraction-free integer elimination.
+`rank` peels singleton rows structurally, then certifies the rest with a
+modular rank: a nonzero minor mod p is nonzero over Q, so the rank mod p
+never exceeds the rank over Q, which never exceeds min(rows, cols).  A
+mod-p rank that reaches that bound (full row rank, or full column rank of
+a tall matrix) is exact; only a matrix whose mod-p rank falls short of it,
+which includes every rank-deficient one, goes to fraction-free (Bareiss)
+elimination on its own dense copy, the one kernel that needs one.
 
 The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
-each row of an n-row matrix is one Python int of w-bit slots, column 0 in
-the lowest slot, with w >= 124 + bit_length(n) rounded up to whole bytes.
-Slots hold nonnegative representatives that are never reduced in place.
-A pivot step reads the low slot of every row (r & (2^w - 1), then % p).
-It folds the pivot row twice, slot by slot, with
+each row of an n-row matrix is one Python int of w-bit slots, one slot per
+column key present, the smallest key lowest, with w >= 124 + bit_length(n)
+rounded up to whole bytes.  Slots hold nonnegative representatives that
+are never reduced in place.  A pivot step reads the low slot of every row
+(r & (2^w - 1), then % p).  It folds the pivot row twice, slot by slot, with
 x -> (x mod 2^61) + (x >> 61), which keeps x mod p because 2^61 = 1 mod p;
 multiplies it by -1/v mod p for its pivot entry v; folds it once more; and
 replaces every other row r by (r >> w) + f * q, where f is the low slot of
@@ -78,8 +78,8 @@ def primitive(row, lead=None):
 
 
 def _to_sparse_int_rows(rows):
-    """Input rows (dicts or sequences, int or Fraction entries) as sparse
-    integer dicts, each made integral; zero rows dropped."""
+    """Input rows (dicts or sequences, int or Fraction entries) as fresh
+    sparse integer dicts, each made integral; zero rows dropped."""
     out = []
     for row in rows:
         ints = integral(row if isinstance(row, dict)
@@ -89,12 +89,11 @@ def _to_sparse_int_rows(rows):
     return out
 
 
-def _structural_eliminate(sparse_rows):
+def _structural_eliminate(rows):
     """Peel off singleton rows: a row with a single nonzero entry pins its
     column, and clearing that column in other rows is a pure entry deletion.
-    Returns (rank_gained, remaining_rows)."""
+    The rows are cleared in place.  Returns (rank_gained, remaining_rows)."""
     rank = 0
-    rows = [dict(r) for r in sparse_rows]
     changed = True
     while changed:
         changed = False
@@ -123,25 +122,15 @@ def _structural_eliminate(sparse_rows):
     return rank, rows
 
 
-def _densify(sparse_rows):
-    cols = sorted({c for r in sparse_rows for c in r})
-    colmap = {c: i for i, c in enumerate(cols)}
-    dense = []
-    for r in sparse_rows:
-        row = [0] * len(cols)
-        for c, v in r.items():
-            row[colmap[c]] = v
-        dense.append(row)
-    return dense, len(cols)
+def _rank_mod(rows):
+    """Rank over GF(p), p = 2^61 - 1, of sparse integer rows.
 
-
-def _rank_mod(dense, ncols):
-    """Rank over GF(p), p = 2^61 - 1, of a dense integer matrix.
-
-    Each row is packed into one int of w-bit slots, column 0 lowest, and a
-    pivot step clears a column with one multiply-add and one shift per row;
-    see the module docstring for why no slot ever carries into the next."""
-    nrows = len(dense)
+    Each row is packed into one int of w-bit slots, one slot per column
+    key present, and a pivot step clears a column with one multiply-add and
+    one shift per row; see the module docstring for why no slot ever
+    carries into the next."""
+    slots = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
+    nrows, ncols = len(rows), len(slots)
     if not nrows or not ncols:
         return 0
     p = _P61
@@ -154,8 +143,13 @@ def _rank_mod(dense, ncols):
                         * ncols, "little")
     # a residue < 2^61 fills the low 8 bytes of its slot, zeros the rest
     pack = struct.Struct("<" + "Q%dx" % (nbytes - 8) * ncols).pack
-    rows = [int.from_bytes(pack(*[v % p for v in r]), "little")
-            for r in dense]
+    packed = []
+    for r in rows:
+        vals = [0] * ncols
+        for c, v in r.items():
+            vals[slots[c]] = v % p
+        packed.append(int.from_bytes(pack(*vals), "little"))
+    rows = packed
     rank = 0
     for _ in range(ncols):
         lead = [(r & low) % p for r in rows]
@@ -181,9 +175,17 @@ def _rank_mod(dense, ncols):
     return rank
 
 
-def _rank_bareiss(dense, ncols):
-    """Fraction-free Gaussian elimination; exact integer divisions only."""
-    rows = [list(r) for r in dense]
+def _rank_bareiss(rows):
+    """Fraction-free Gaussian elimination of sparse integer rows on a dense
+    working copy, one column per key present; exact integer divisions
+    only."""
+    slots = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
+    ncols = len(slots)
+    dense = [[0] * ncols for _ in rows]
+    for row, r in zip(dense, rows):
+        for c, v in r.items():
+            row[slots[c]] = v
+    rows = dense
     nrows = len(rows)
     rank = 0
     col = 0
@@ -222,21 +224,19 @@ def _rank_bareiss(dense, ncols):
     return rank
 
 
-def rank(rows, ncols=None):
-    """Exact rank of a matrix with int or Fraction entries.
-
-    rows may be dicts (sparse, col -> value) or dense sequences.  The rank
-    depends only on the nonzero entries, so ncols is not read.
+def rank(rows):
+    """Exact rank of a matrix with int or Fraction entries, given as dict
+    rows (sparse, col -> value) or dense sequences and made sparse integer
+    rows: the structural peel, then the packed mod-p rank, then Bareiss on
+    its own dense copy when the mod-p rank falls short of min(rows, cols).
     """
-    sparse = _to_sparse_int_rows(rows)
-    base, rest = _structural_eliminate(sparse)
+    base, rest = _structural_eliminate(_to_sparse_int_rows(rows))
     if not rest:
         return base
-    dense, m = _densify(rest)
-    rm = _rank_mod(dense, m)
-    if rm == min(len(dense), m):
+    rm = _rank_mod(rest)
+    if rm == min(len(rest), len(set().union(*rest))):
         return base + rm
-    return base + _rank_bareiss(dense, m)
+    return base + _rank_bareiss(rest)
 
 
 def _eliminate(row, prow, col):
@@ -341,11 +341,4 @@ def nullspace(rows, ncols):
     """
     return [_dense(vec, ncols)
             for vec in kernel(echelon(rows, ncols), ncols)]
-
-
-def row_space_contains(outer_rows, inner_rows, ncols):
-    """True iff the row space of outer contains every row of inner."""
-    r_outer = rank(list(outer_rows), ncols)
-    r_join = rank(list(outer_rows) + list(inner_rows), ncols)
-    return r_outer == r_join
 

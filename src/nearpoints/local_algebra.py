@@ -250,7 +250,7 @@ class LocalConditionSystem:
     ncols: int
 
     def rank(self):
-        return linalg.rank(list(self.rows), self.ncols)
+        return linalg.rank(self.rows)
 
     def apply(self, f):
         """Values of every condition functional on a germ (dict polynomial
@@ -331,8 +331,8 @@ class IdealSubspace:
         """other <= self as subspaces (needs equal truncations)."""
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        return linalg.row_space_contains(other.conditions, self.conditions,
-                                         self.ncols)
+        # echelon rows are independent: other.conditions has rank codim
+        return linalg.rank(other.conditions + self.conditions) == other.codim
 
 
 def default_truncation(mults):

@@ -49,7 +49,7 @@ class GlobalConditionMatrix:
     ncols: int
 
     def rank(self):
-        return linalg.rank(list(self.rows), self.ncols)
+        return linalg.rank(self.rows)
 
 
 def _translated_columns(ec, d, bound):

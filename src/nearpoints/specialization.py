@@ -50,12 +50,11 @@ def semicontinuity_experiment(mults, trials=20, seed=0, height=DEFAULT_HEIGHT):
         raise ValueError("trials must be at least 1, got %d" % trials)
     mults = tuple(mults)
     r = len(mults)
+    if r < 3:
+        raise ValueError("no satellite position on %d points: need at "
+                         "least 3" % r)
     runs = []
     ok = True
-    if r < 3:
-        return {"experiment": "semicontinuity", "mults": list(mults),
-                "trials": 0, "ok": True,
-                "note": "no satellite position exists; nothing to compare"}
     for t in range(trials):
         rng = rng_from(seed, "semicontinuity", t, mults)
         wc = WeightedCluster(single_chain([None] * r), mults)
@@ -159,6 +158,8 @@ def limit_dimension_experiment(s, i, j, d, seed=0, height=DEFAULT_HEIGHT):
     """Dimension inequality under specialization: with head m = 2s-2, the
     system of degree-d curves through a generic U_s scheme is at most as
     large as through the specialized generic U_{s+1} scheme."""
+    if s < 2:
+        raise ValueError("need s >= 2, got %d" % s)
     m = 2 * s - 2
     if i < s:
         raise ValueError("need i >= s")

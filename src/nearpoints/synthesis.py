@@ -179,20 +179,19 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
                         % (d - 1, attempt))
             continue
         mat = condition_matrix(union, d)
-        kernel = linalg.nullspace(list(mat.rows), mat.ncols)
+        kernel = linalg.kernel(linalg.echelon(mat.rows, mat.ncols), mat.ncols)
         if not kernel:
             raise RuntimeError("empty system in degree %d despite the bound" % d)
         rng = rng_from(seed, "draw", attempt, d)
         mons = monomials(d)
-        vec = [Fraction(0)] * mat.ncols
-        while all(v == 0 for v in vec):
+        vec = {}
+        while not any(vec.values()):
             for basis_vec in kernel:
                 c = rng.randint(-height, height)
                 if c:
-                    for i, v in enumerate(basis_vec):
-                        if v:
-                            vec[i] += c * v
-        coeffs = p_primitive({mons[i]: v for i, v in enumerate(vec) if v})
+                    for i, v in basis_vec.items():
+                        vec[i] = vec.get(i, 0) + c * v
+        coeffs = p_primitive({mons[i]: vec[i] for i in sorted(vec) if vec[i]})
         return PlaneCurve(d, coeffs), union
     raise RuntimeError("could not reach general position: %s" % last_err)
 

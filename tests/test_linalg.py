@@ -29,7 +29,7 @@ def test_rank_simple():
     assert linalg.rank([[1, 0], [0, 1]]) == 2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[0, 0]]) == 0
-    assert linalg.rank([{0: 3, 5: -2}, {5: 1}], ncols=6) == 2
+    assert linalg.rank([{0: 3, 5: -2}, {5: 1}]) == 2
 
 
 def test_rank_fractions():
@@ -41,7 +41,7 @@ def test_rank_fractions():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=1, max_size=6))
 def test_rank_matches_fraction_elimination(mat):
-    assert linalg.rank(mat, 4) == brute_rank(mat, 4)
+    assert linalg.rank([dict(enumerate(r)) for r in mat]) == brute_rank(mat, 4)
 
 
 def test_rank_deficient_products():
@@ -56,7 +56,7 @@ def test_rank_deficient_products():
         C = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(k)]
         A = [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)]
              for i in range(m)]
-        got = linalg.rank(A, n)
+        got = linalg.rank([dict(enumerate(r)) for r in A])
         assert got == brute_rank(A, n)
         assert got <= k
 
@@ -80,12 +80,6 @@ def test_columns_beyond_ncols_are_rejected():
             linalg.echelon(rows, 3)
         with pytest.raises(ValueError):
             linalg.nullspace(rows, 3)
-
-
-def test_row_space_contains():
-    A = [[1, 0, 0], [0, 1, 0]]
-    assert linalg.row_space_contains(A, [[2, 3, 0]], 3)
-    assert not linalg.row_space_contains(A, [[0, 0, 1]], 3)
 
 
 @st.composite
@@ -115,7 +109,8 @@ def test_rank_matches_bareiss(mat_n):
     # the mod-p certificate accepts a rank of min(rows, cols); Bareiss is
     # the exact reference on every shape
     mat, n = mat_n
-    assert linalg.rank(mat, n) == linalg._rank_bareiss(mat, n)
+    rows = [dict(enumerate(r)) for r in mat]
+    assert linalg.rank(rows) == linalg._rank_bareiss(rows)
 
 
 # Reference: the dense Fraction Gauss-Jordan that rref was before it ran on
@@ -198,7 +193,7 @@ def test_rref_matches_dense_fraction_rref(mat_n):
     red, pivots = linalg.rref(rows, n)
     assert (red, pivots) == dense_fraction_rref(rows, n)
     # the mod-p certified rank against the rank of the echelon form
-    assert len(pivots) == linalg.rank(rows, n)
+    assert len(pivots) == linalg.rank(rows)
 
 
 def test_rref_of_height_1000_rationals():
@@ -283,7 +278,29 @@ def modular_matrices(draw):
 @given(modular_matrices())
 def test_rank_mod_matches_per_cell_elimination(mat_n):
     mat, n = mat_n
-    assert linalg._rank_mod(mat, n) == per_cell_rank_mod(mat, n)
+    assert (linalg._rank_mod([dict(enumerate(r)) for r in mat])
+            == per_cell_rank_mod(mat, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(modular_matrices(), st.data())
+def test_rank_mod_reads_columns_off_sparse_keys(mat_n, data):
+    # the same matrix as sparse rows over tuple keys with gaps between
+    # them, some zero entries stored, each row's keys in shuffled order
+    mat, n = mat_n
+    keys = sorted(data.draw(st.sets(st.tuples(st.integers(-3, 3),
+                                              st.integers(0, 40)),
+                                    min_size=n, max_size=n)))
+    rows = []
+    for r in mat:
+        entries = [(keys[j], v) for j, v in enumerate(r)
+                   if v or data.draw(st.booleans())]
+        rows.append(dict(data.draw(st.permutations(entries))))
+    # the oracle densifies over the sorted keys present
+    cols = sorted({c for r in rows for c in r})
+    dense = [[r.get(c, 0) for c in cols] for r in rows]
+    assert linalg._rank_mod(rows) == per_cell_rank_mod(dense, len(cols))
+    assert linalg._rank_mod(rows) == per_cell_rank_mod(mat, n)
 
 
 def test_rank_mod_at_the_slot_width_bound():
@@ -298,9 +315,10 @@ def test_rank_mod_at_the_slot_width_bound():
         a, b = rng.sample(mat, 2)
         mat.insert(rng.randrange(len(mat) + 1), [x + y for x, y in zip(a, b)])
     assert per_cell_rank_mod(mat, n) == n - 10
-    assert linalg._rank_mod(mat, n) == n - 10
+    assert linalg._rank_mod([dict(enumerate(r)) for r in mat]) == n - 10
     full = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
-    assert linalg._rank_mod(full, n) == per_cell_rank_mod(full, n) == n
+    assert (linalg._rank_mod([dict(enumerate(r)) for r in full])
+            == per_cell_rank_mod(full, n) == n)
 
 
 # integral and primitive: the one place rationals become integer rows

@@ -97,6 +97,14 @@ def test_ideal_two_points_contains_line():
     assert not contains(H, {(0, 1): 1, (1, 0): -lam - 1})
 
 
+def test_contains_subspace_is_row_space_containment():
+    # conditions on the coefficients (c1, cx, cy) of germs of degree <= 1:
+    # A, the multiples of y, satisfies 2 c1 + 3 cx = 0 but not cy = 0
+    A = IdealSubspace(1, [[1, 0, 0], [0, 1, 0]])
+    assert IdealSubspace(1, [[2, 3, 0]]).contains_subspace(A)
+    assert not IdealSubspace(1, [[0, 0, 1]]).contains_subspace(A)
+
+
 def test_ideal_tacnode():
     H = ideal_subspace(ec_of([None, None], [2, 2], [None, 0]))
     assert contains(H, {(0, 2): 1})            # y^2

@@ -243,10 +243,10 @@ def test_conditions_match_classical_fat_points():
             mine = condition_matrix(Z, d)
             theirs = classical_fat_point_rows(bm, d)
             r1 = mine.rank()
-            r2 = linalg.rank(theirs, mine.ncols)
+            r2 = linalg.rank([dict(enumerate(r)) for r in theirs])
             joint = list(mine.rows) + [
                 {i: v for i, v in enumerate(row) if v} for row in theirs]
-            assert r1 == r2 == linalg.rank(joint, mine.ncols), (trial, d)
+            assert r1 == r2 == linalg.rank(joint), (trial, d)
 
 
 def fraction_translated_columns(ec, d, bound):

@@ -69,8 +69,10 @@ def test_semicontinuity_simple_points():
 
 
 def test_semicontinuity_single_point():
-    rep = semicontinuity_experiment((4,), trials=4, seed=0)
-    assert rep["ok"] and "note" in rep
+    # a satellite position needs three points: nothing to compare below that
+    for mults in ((4,), (2, 2)):
+        with pytest.raises(ValueError):
+            semicontinuity_experiment(mults, trials=4, seed=0)
 
 
 def test_limit_identities_examples():
@@ -93,6 +95,8 @@ def test_limit_dimension_examples():
     assert limit_dimension_experiment(2, 3, 2, 4, seed=4)["ok"]
     with pytest.raises(ValueError):
         limit_dimension_experiment(2, 1, 0, 3)
+    with pytest.raises(ValueError):
+        limit_dimension_experiment(1, 2, 1, 3)
 
 
 def test_one_more_point_constant_length():

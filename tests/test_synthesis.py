@@ -215,3 +215,46 @@ def test_dk_maximal_rank_small():
     rep_bad = max_rank(SchemeUnion((dk_scheme(6, seed=3),)))
     fails = [d for d in rep_bad["detail"] if d["verdict"] != "ok"]
     assert [f["degree"] for f in fails] == [3] and fails[0]["defect"] == 1
+
+
+# Reference: synthesize as it drew before the sparse kernel, from the dense
+# Fraction nullspace of the degree-d condition matrix.
+
+def dense_nullspace_synthesize(spec, d, seed=0, height=synthesis.DEFAULT_HEIGHT):
+    from nearpoints import linalg
+    from nearpoints.polyops import monomials, p_primitive
+    last_err = None
+    for attempt in (0, 1):
+        union = synthesis._spec_union(spec, seed + 1000003 * attempt, height)
+        mat_low = synthesis.condition_matrix(union, d - 1)
+        if mat_low.rank() != union.total_length:
+            last_err = ("conditions dependent in degree %d (attempt %d)"
+                        % (d - 1, attempt))
+            continue
+        mat = synthesis.condition_matrix(union, d)
+        kernel = linalg.nullspace(list(mat.rows), mat.ncols)
+        rng = synthesis.rng_from(seed, "draw", attempt, d)
+        mons = monomials(d)
+        vec = [Fraction(0)] * mat.ncols
+        while all(v == 0 for v in vec):
+            for basis_vec in kernel:
+                c = rng.randint(-height, height)
+                if c:
+                    for i, v in enumerate(basis_vec):
+                        if v:
+                            vec[i] += c * v
+        coeffs = p_primitive({mons[i]: v for i, v in enumerate(vec) if v})
+        return PlaneCurve(d, coeffs), union
+    raise RuntimeError("could not reach general position: %s" % last_err)
+
+
+def test_synthesize_matches_the_dense_nullspace_draw():
+    from test_acceptance import PIPELINE_SPECS
+    for spec in PIPELINE_SPECS:
+        d = min_degree(spec)
+        curve, union = synthesize(spec, d, seed=0)
+        want, want_union = dense_nullspace_synthesize(spec, d, seed=0)
+        assert union == want_union
+        # equal as dicts and in the key order the reports print
+        assert curve == want, spec
+        assert list(curve.coeffs.items()) == list(want.coeffs.items()), spec
