@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import __version__
-from .clusters import WeightedCluster, render_enriques
+from .clusters import Cluster, WeightedCluster, render_enriques
 from .io import SchemaError, cluster_to_data, jsonable, parse_inputs
 from .plane_systems import (SchemeUnion, condition_matrix,
                             exception_catalog, expected_dimension, max_rank)
@@ -28,8 +28,26 @@ def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; command is the subcommand being
+    parsed, None before one was read."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing usage and exiting, so
+    that main reports it like any other error; subparsers inherit the
+    class, and their prog is "nearpoints <command>"."""
+
+    def error(self, message):
+        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="nearpoints")
+    ap = _Parser(prog="nearpoints")
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--out", help="also write the report to this path")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -196,7 +214,6 @@ def run(args):
             mults = tuple(m for ec in obj.components for m in ec.mults)
             chains = tuple(ec.weighted.cluster.chains[0]
                            for ec in obj.components)
-            from .clusters import Cluster
             wc = WeightedCluster(Cluster(chains), mults)
         else:
             wc = _as_weighted(obj)
@@ -222,9 +239,16 @@ def _text_render(report):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     t0 = time.time()
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        report = {"tool": "nearpoints", "version": __version__,
+                  "command": exc.command, "error": str(exc),
+                  "verdict": "error",
+                  "timings": {"elapsed_s": round(time.time() - t0, 3)}}
+        sys.stdout.write(_render(report, "json"))
+        return 2
     report = {"tool": "nearpoints", "version": __version__,
               "command": args.command}
     try:

@@ -13,8 +13,8 @@ modular rank: a nonzero minor mod p is nonzero over Q, so the rank mod p
 never exceeds the rank over Q, which never exceeds min(rows, cols).  A
 mod-p rank that reaches that bound (full row rank, or full column rank of
 a tall matrix) is exact; only a matrix whose mod-p rank falls short of it,
-which includes every rank-deficient one, goes to fraction-free (Bareiss)
-elimination on its own dense copy, the one kernel that needs one.
+which includes every rank-deficient one, is counted exactly by the forward
+pass of `echelon`, the one exact elimination in the package.
 
 The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
@@ -175,70 +175,6 @@ def _rank_mod(rows):
     return rank
 
 
-def _rank_bareiss(rows):
-    """Fraction-free Gaussian elimination of sparse integer rows on a dense
-    working copy, one column per key present; exact integer divisions
-    only."""
-    slots = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
-    ncols = len(slots)
-    dense = [[0] * ncols for _ in rows]
-    for row, r in zip(dense, rows):
-        for c, v in r.items():
-            row[slots[c]] = v
-    rows = dense
-    nrows = len(rows)
-    rank = 0
-    col = 0
-    prev = 1
-    while rank < nrows and col < ncols:
-        piv = None
-        best = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                nz = sum(1 for v in rows[i] if v)
-                if best is None or nz < best:
-                    best = nz
-                    piv = i
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            # the two-step Sylvester identity needs the update on every row,
-            # zero pivot-column entry or not, for the divisions to stay exact
-            if f:
-                for j in range(col + 1, ncols):
-                    ri[j] = (ri[j] * pv - f * prow[j]) // prev
-                ri[col] = 0
-            else:
-                for j in range(col + 1, ncols):
-                    if ri[j]:
-                        ri[j] = ri[j] * pv // prev
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
-
-
-def rank(rows):
-    """Exact rank of a matrix with int or Fraction entries, given as dict
-    rows (sparse, col -> value) or dense sequences and made sparse integer
-    rows: the structural peel, then the packed mod-p rank, then Bareiss on
-    its own dense copy when the mod-p rank falls short of min(rows, cols).
-    """
-    base, rest = _structural_eliminate(_to_sparse_int_rows(rows))
-    if not rest:
-        return base
-    rm = _rank_mod(rest)
-    if rm == min(len(rest), len(set().union(*rest))):
-        return base + rm
-    return base + _rank_bareiss(rest)
-
-
 def _eliminate(row, prow, col):
     """Clear column col of row with the pivot row prow:
     (b/g) row - (a/g) prow for a = row[col], b = prow[col], g = gcd(a, b),
@@ -256,21 +192,14 @@ def _eliminate(row, prow, col):
     return primitive(out)
 
 
-def echelon(rows, ncols):
-    """Canonical echelon form over Q, as sparse integer rows.
-
-    rows may be dicts (sparse, col -> value) or sequences, with int or
-    Fraction entries.  Each row is reduced against the pivot rows found so
-    far in leading-column order, then every pivot column is cleared from
-    the pivot rows above it.
-
-    Returns a tuple of dict rows in increasing pivot order, zero rows
-    dropped: each reduced echelon row times the lcm of its denominators, so
-    primitive, positive at its pivot (its smallest column) and zero in every
-    other pivot column.  Row spaces are equal iff their echelon forms are.
-    """
-    by_lead = {}  # pivot column -> primitive integer row leading there
-    for row in _to_sparse_int_rows(rows):
+def _forward(rows):
+    """The forward pass of integer Gauss-Jordan over zero-free sparse
+    integer rows: each row, made primitive, is reduced against the pivot
+    rows found so far in leading-column order.  Returns {pivot column:
+    primitive integer row leading there}; the number of pivots is the rank
+    over Q."""
+    by_lead = {}
+    for row in rows:
         row = primitive(row)
         while row:
             lead = min(row)
@@ -279,6 +208,46 @@ def echelon(rows, ncols):
                 by_lead[lead] = row
                 break
             row = _eliminate(row, prow, lead)
+    return by_lead
+
+
+def _rank_bareiss(rows):
+    """Exact rank over Q of zero-free sparse integer rows: the number of
+    pivots of `echelon`'s forward pass.  It keeps its name as the fallback
+    that `rank` takes when the mod-p rank falls short."""
+    return len(_forward(rows))
+
+
+def rank(rows):
+    """Exact rank of a matrix with int or Fraction entries, given as dict
+    rows (sparse, col -> value) or dense sequences and made sparse integer
+    rows: the structural peel, then the packed mod-p rank, then the pivot
+    count of `echelon`'s forward pass when the mod-p rank falls short of
+    min(rows, cols).
+    """
+    base, rest = _structural_eliminate(_to_sparse_int_rows(rows))
+    if not rest:
+        return base
+    rm = _rank_mod(rest)
+    if rm == min(len(rest), len(set().union(*rest))):
+        return base + rm
+    return base + _rank_bareiss(rest)
+
+
+def echelon(rows, ncols):
+    """Canonical echelon form over Q, as sparse integer rows.
+
+    rows may be dicts (sparse, col -> value) or sequences, with int or
+    Fraction entries.  `_forward` reduces each row against the pivot rows
+    found so far in leading-column order, then every pivot column is
+    cleared from the pivot rows above it.
+
+    Returns a tuple of dict rows in increasing pivot order, zero rows
+    dropped: each reduced echelon row times the lcm of its denominators, so
+    primitive, positive at its pivot (its smallest column) and zero in every
+    other pivot column.  Row spaces are equal iff their echelon forms are.
+    """
+    by_lead = _forward(_to_sparse_int_rows(rows))
     pivots = sorted(by_lead)
     # last pivot first: the pivot row used to clear a column has already
     # lost its entries in every later pivot column, so none comes back

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .polyops import p_min_deg, p_translate
+from .polyops import p_min_deg, p_translate, u_clean, u_diff
 
 # x0 values tried, in order, for the irreducibility specialization; the
 # first one that keeps deg_y decides
@@ -101,18 +101,12 @@ def _is_irreducible(P):
     return False
 
 
-def _ky_trim(L):
-    while L and not L[-1]:
-        L.pop()
-    return L
-
-
 def _ky_reduce(F, q):
     """F in ZZ[y, x] -> y-coefficient list over the field Q[x]/(q)."""
     cols = _y_columns(F)
     Qx = q.ring
-    return _ky_trim([Qx.from_dict(cols.get(b, {})).rem(q)
-                     for b in range(max(F.degree(), 0) + 1)])
+    return u_clean([Qx.from_dict(cols.get(b, {})).rem(q)
+                    for b in range(max(F.degree(), 0) + 1)])
 
 
 def _ky_rem(A, B, q):
@@ -126,19 +120,15 @@ def _ky_rem(A, B, q):
         for i in range(dB + 1):
             A[sh + i] = (A[sh + i] - f * B[i]).rem(q)
         del A[-1]
-        A = _ky_trim(A)
+        A = u_clean(A)
     return A
 
 
 def _ky_gcd(A, B, q):
-    A, B = _ky_trim(list(A)), _ky_trim(list(B))
+    A, B = u_clean(list(A)), u_clean(list(B))
     while B:
         A, B = B, _ky_rem(A, B, q)
     return A
-
-
-def _ky_diff(A):
-    return _ky_trim([i * c for i, c in enumerate(A)][1:])
 
 
 def _count_common_over(q, polys):
@@ -156,7 +146,7 @@ def _count_common_over(q, polys):
             return 0
     if not g:
         return None
-    sq = _ky_gcd(g, _ky_diff(list(g)), q)
+    sq = _ky_gcd(g, u_diff(g), q)
     distinct_y = (len(g) - 1) - (len(sq) - 1 if sq else 0)
     return q.degree() * distinct_y
 

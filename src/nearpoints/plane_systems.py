@@ -10,7 +10,8 @@ dimensions and maximal-rank verdicts.
 from dataclasses import dataclass
 
 from . import linalg
-from .clusters import WeightedCluster, is_consistent, system, us_chain
+from .clusters import (WeightedCluster, free_chain, is_consistent, system,
+                       us_chain)
 from .local_algebra import _emit_conditions, embed, track_bounds
 from .polyops import monomials, translated_monomials
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
@@ -162,7 +163,6 @@ def generic_union(mult_systems, seed, height=DEFAULT_HEIGHT):
     bases = distinct_points(rng, len(mult_systems), height)
     comps = []
     for mults, base in zip(mult_systems, bases):
-        from .clusters import free_chain
         wc = WeightedCluster(free_chain(len(mults)), tuple(mults))
         comps.append(embed(wc, rng=rng, base=base, height=height))
     return SchemeUnion(tuple(comps))

@@ -9,19 +9,11 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import integral, primitive
+from .linalg import integral, primitive, rank
 
 
 def p_clean(p):
     return {e: c for e, c in p.items() if c}
-
-def p_mul(p, q):
-    out = {}
-    for (a, b), c in p.items():
-        for (a2, b2), c2 in q.items():
-            e = (a + a2, b + b2)
-            out[e] = out.get(e, 0) + c * c2
-    return p_clean(out)
 
 def p_min_deg(p):
     """Order of vanishing at the origin (multiplicity); -1 for the zero
@@ -132,30 +124,6 @@ def u_clean(u):
         u.pop()
     return u
 
-def u_gcd(u, v):
-    """Monic gcd over Q."""
-    a = u_clean([Fraction(c) for c in u])
-    b = u_clean([Fraction(c) for c in v])
-    while b:
-        a, b = b, u_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-def u_mod(a, b):
-    a = [Fraction(c) for c in a]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] -= f * b[i]
-        a = u_clean(a)
-        if not a:
-            break
-    return a
-
 def u_diff(u):
     return [i * c for i, c in enumerate(u)][1:]
 
@@ -178,5 +146,14 @@ def u_divide_out(u, root):
     return k, u
 
 def u_is_squarefree(u):
-    g = u_gcd(u, u_diff(list(u)))
-    return len(g) <= 1
+    """True when u has no repeated factor over Q: for n = deg u >= 2, when
+    the Sylvester matrix of u and u' (n - 1 shifts of u, n of u') is
+    nonsingular, so that gcd(u, u') is a constant.  Degrees 0 and 1 count
+    as squarefree."""
+    u = u_clean(list(u))
+    n = len(u) - 1
+    if n < 2:
+        return True
+    rows = ([dict(enumerate(u, i)) for i in range(n - 1)]
+            + [dict(enumerate(u_diff(u), i)) for i in range(n)])
+    return rank(rows) == 2 * n - 1

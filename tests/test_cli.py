@@ -227,6 +227,33 @@ def test_height_below_one_is_an_error(capsys, argv):
     assert "--height" in rep["error"] and "config" not in rep
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["synthesize", "--tacnodes", "1,x"], "synthesize",
+     "argument --tacnodes: invalid _int_list value: '1,x'"),
+    (["frobnicate"], None, "argument command: invalid choice: 'frobnicate'"),
+    (["--format", "text", "length"], "length",
+     "the following arguments are required: --in")])
+def test_usage_error_is_an_error_report(capsys, argv, command, message):
+    # no usage text on stderr and no SystemExit: the JSON error report,
+    # also when --format text was asked for, since parsing did not finish
+    code = main(argv)
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert list(rep) == ["tool", "version", "command", "error", "verdict",
+                         "timings"]
+    assert rep["command"] == command and rep["verdict"] == "error"
+    assert rep["error"].startswith(message)
+    assert "elapsed_s" in rep["timings"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage: nearpoints" in capsys.readouterr().out
+
+
 def test_render_round(capsys):
     code, rep = run_cli(capsys, "render", "--in", fixture("d7.json"))
     assert code == 0 and "sat->0" in rep["results"]["diagram"]

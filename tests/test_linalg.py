@@ -103,6 +103,58 @@ def integer_matrices(draw):
             for i in range(m)], n
 
 
+# Reference: the dense fraction-free (Bareiss) elimination that
+# _rank_bareiss was before it counted the pivots of echelon's forward pass.
+
+def dense_bareiss_rank(rows):
+    """Fraction-free Gaussian elimination of sparse integer rows on a dense
+    working copy, one column per key present; exact integer divisions
+    only."""
+    slots = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
+    ncols = len(slots)
+    dense = [[0] * ncols for _ in rows]
+    for row, r in zip(dense, rows):
+        for c, v in r.items():
+            row[slots[c]] = v
+    rows = dense
+    nrows = len(rows)
+    rank = 0
+    col = 0
+    prev = 1
+    while rank < nrows and col < ncols:
+        piv = None
+        best = None
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                nz = sum(1 for v in rows[i] if v)
+                if best is None or nz < best:
+                    best = nz
+                    piv = i
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pv = prow[col]
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            # the two-step Sylvester identity needs the update on every row,
+            # zero pivot-column entry or not, for the divisions to stay exact
+            if f:
+                for j in range(col + 1, ncols):
+                    ri[j] = (ri[j] * pv - f * prow[j]) // prev
+                ri[col] = 0
+            else:
+                for j in range(col + 1, ncols):
+                    if ri[j]:
+                        ri[j] = ri[j] * pv // prev
+        prev = pv
+        rank += 1
+        col += 1
+    return rank
+
+
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
 def test_rank_matches_bareiss(mat_n):
@@ -110,7 +162,26 @@ def test_rank_matches_bareiss(mat_n):
     # the exact reference on every shape
     mat, n = mat_n
     rows = [dict(enumerate(r)) for r in mat]
-    assert linalg.rank(rows) == linalg._rank_bareiss(rows)
+    assert linalg.rank(rows) == dense_bareiss_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.data())
+def test_forward_pass_rank_matches_bareiss(m, n, data):
+    # the fallback on what rank hands it: zero-free sparse rows of a product
+    # B @ C whose inner dimension k falls below both sides
+    k = data.draw(st.integers(0, min(m, n) - 1))
+    entries = st.integers(-40, 40)
+    B = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    rows = [{j: v for j in range(n)
+             if (v := sum(B[i][t] * C[t][j] for t in range(k)))}
+            for i in range(m)]
+    rows = [r for r in rows if r]
+    got = linalg._rank_bareiss(rows)
+    assert got == dense_bareiss_rank(rows) <= k
 
 
 # Reference: the dense Fraction Gauss-Jordan that rref was before it ran on

@@ -15,10 +15,11 @@ from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
                                       germ_transforms, required_truncation,
                                       strict_transforms, track_bounds)
 from nearpoints.polyops import (monomial_index, monomials, p_clean,
-                                p_min_deg, p_mul)
+                                p_min_deg)
 from nearpoints.sampling import random_weighted_chain, rng_from
 from nearpoints.unloading import length
 from test_linalg import dense_fraction_rref
+from test_plane_systems import p_mul
 
 
 def ec_of(extras, mults, lambdas):

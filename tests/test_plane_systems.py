@@ -8,7 +8,7 @@ from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
                                       track_bounds)
 from nearpoints.linalg import integral
-from nearpoints.polyops import (monomials, p_mul, p_translate,
+from nearpoints.polyops import (monomials, p_clean, p_translate,
                                 translated_monomials, u_divide_out)
 from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
                                       exception_catalog, expected_dimension,
@@ -17,6 +17,16 @@ from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
                                       stratum_ell, us_consistent)
 from nearpoints.sampling import rng_from
 from nearpoints.unloading import length
+
+
+def p_mul(p, q):
+    """Product of two polynomial dicts, for the translation oracles."""
+    out = {}
+    for (a, b), c in p.items():
+        for (a2, b2), c2 in q.items():
+            e = (a + a2, b + b2)
+            out[e] = out.get(e, 0) + c * c2
+    return p_clean(out)
 
 
 def test_condition_matrix_double_point():

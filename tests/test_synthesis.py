@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nearpoints import synthesis
 from nearpoints.clusters import validate, weighted_chain
@@ -9,6 +10,7 @@ from nearpoints.io import jsonable
 from nearpoints.local_algebra import (EmbeddedCluster, contains,
                                       ideal_subspace, to_local)
 from nearpoints.plane_systems import SchemeUnion, max_rank
+from nearpoints.polyops import u_clean, u_diff, u_is_squarefree
 from nearpoints.synthesis import (PlaneCurve, SingularitySpec, cusp_scheme,
                                   dk_scheme, existence_driver, min_degree,
                                   singular_locus, synthesize, tacnode_scheme,
@@ -258,3 +260,79 @@ def test_synthesize_matches_the_dense_nullspace_draw():
         # equal as dicts and in the key order the reports print
         assert curve == want, spec
         assert list(curve.coeffs.items()) == list(want.coeffs.items()), spec
+
+
+# Reference: the Fraction Euclid that decided squarefreeness before the
+# Sylvester rank did.
+
+def euclid_u_gcd(u, v):
+    """Monic gcd over Q."""
+    a = u_clean([Fraction(c) for c in u])
+    b = u_clean([Fraction(c) for c in v])
+    while b:
+        a, b = b, euclid_u_mod(a, b)
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def euclid_u_mod(a, b):
+    a = [Fraction(c) for c in a]
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and a:
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i in range(db + 1):
+            a[shift + i] -= f * b[i]
+        a = u_clean(a)
+        if not a:
+            break
+    return a
+
+
+def euclid_u_is_squarefree(u):
+    g = euclid_u_gcd(u, u_diff(list(u)))
+    return len(g) <= 1
+
+
+def u_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def univariates(draw):
+    """A random coefficient list (trailing zeros allowed), or a scalar times
+    a product of factors of degree 1 and 2, some of them squared or cubed."""
+    if draw(st.booleans()):
+        return draw(st.lists(small_fractions, max_size=7))
+    u = [draw(small_fractions.filter(bool))]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.lists(small_fractions, min_size=2, max_size=3))
+        if not factor[-1]:
+            factor[-1] = Fraction(1)
+        for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+            u = u_mul(u, factor)
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariates())
+def test_squarefree_sylvester_rank_matches_euclid(u):
+    assert u_is_squarefree(u) == euclid_u_is_squarefree(u)
+
+
+def test_squarefree_on_squared_factors():
+    x2 = [-2, 0, 1]                   # x^2 - 2, irreducible over Q
+    assert u_is_squarefree(x2)
+    assert not u_is_squarefree(u_mul(x2, x2))
+    assert not u_is_squarefree(u_mul([1, 1], u_mul([1, 1], [0, 3])))
+    assert u_is_squarefree([5]) and u_is_squarefree([1, 2, 0, 0])
+    assert u_is_squarefree([]) and u_is_squarefree([0, 0])
