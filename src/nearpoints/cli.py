@@ -25,7 +25,9 @@ from .synthesis import (PlaneCurve, SingularitySpec, existence_driver,
 from .unloading import length, unload
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    """Comma-separated integers; an empty value is the empty list, and an
+    empty item is a ValueError, hence a usage error."""
+    return [int(t) for t in text.split(",")] if text.strip() else []
 
 
 class _UsageError(Exception):

@@ -16,6 +16,18 @@ a tall matrix) is exact; only a matrix whose mod-p rank falls short of it,
 which includes every rank-deficient one, is counted exactly by the forward
 pass of `echelon`, the one exact elimination in the package.
 
+Both eliminations walk the columns in key order, so each returns its pivot
+columns, and the rank of a column prefix (the columns c < w) is the number
+of pivots below w: the rows leading below w stay independent when cut to
+the prefix, and the others vanish there.  The peel commutes with the cut,
+since a pinned column is cleared by deleting entries.  So `rank(rows,
+widths)` gives every prefix's rank from one peel, one mod-p elimination
+and at most one forward pass.  Each prefix is certified on its own: its
+mod-p pivot count is the rank mod p of the cut rows, which is at most
+their rank over Q, which is at most min(rows, columns below w); a count
+that meets that bound is exact, and only a prefix whose count falls short
+reads its pivots off the forward pass, run once for all such prefixes.
+
 The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
 column key present, the smallest key lowest, with w >= 124 + bit_length(n)
@@ -44,6 +56,7 @@ these two.
 """
 
 import struct
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -92,8 +105,9 @@ def _to_sparse_int_rows(rows):
 def _structural_eliminate(rows):
     """Peel off singleton rows: a row with a single nonzero entry pins its
     column, and clearing that column in other rows is a pure entry deletion.
-    The rows are cleared in place.  Returns (rank_gained, remaining_rows)."""
-    rank = 0
+    The rows are cleared in place.  Returns (the pinned columns in sorted
+    order, the remaining rows)."""
+    pinned = []
     changed = True
     while changed:
         changed = False
@@ -109,7 +123,7 @@ def _structural_eliminate(rows):
                 if col in dead_cols:
                     continue
                 dead_cols.add(col)
-                rank += 1
+                pinned.append(col)
                 changed = True
             else:
                 keep.append(r)
@@ -119,20 +133,23 @@ def _structural_eliminate(rows):
                     r.pop(c, None)
             keep = [r for r in keep if r]
         rows = keep
-    return rank, rows
+    return sorted(pinned), rows
 
 
 def _rank_mod(rows):
-    """Rank over GF(p), p = 2^61 - 1, of sparse integer rows.
+    """Pivot columns over GF(p), p = 2^61 - 1, of sparse integer rows:
+    the sorted column keys where elimination in key order finds a pivot,
+    as many as the rank mod p.
 
     Each row is packed into one int of w-bit slots, one slot per column
     key present, and a pivot step clears a column with one multiply-add and
     one shift per row; see the module docstring for why no slot ever
     carries into the next."""
-    slots = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
-    nrows, ncols = len(rows), len(slots)
+    cols = sorted(set().union(*rows))
+    nrows, ncols = len(rows), len(cols)
     if not nrows or not ncols:
-        return 0
+        return []
+    slots = {c: i for i, c in enumerate(cols)}
     p = _P61
     nbytes = (124 + nrows.bit_length() + 7) // 8
     w = 8 * nbytes
@@ -150,8 +167,8 @@ def _rank_mod(rows):
             vals[slots[c]] = v % p
         packed.append(int.from_bytes(pack(*vals), "little"))
     rows = packed
-    rank = 0
-    for _ in range(ncols):
+    pivots = []
+    for col in cols:
         lead = [(r & low) % p for r in rows]
         for piv, v in enumerate(lead):
             if v:
@@ -159,7 +176,7 @@ def _rank_mod(rows):
         else:
             rows = [r >> w for r in rows]
             continue
-        rank += 1
+        pivots.append(col)
         q = rows.pop(piv)
         if not rows:
             break
@@ -172,7 +189,7 @@ def _rank_mod(rows):
         q *= p - pow(v, -1, p)
         q = (q & lo61) + ((q >> 61) & hi)
         rows = [(r + f * q) >> w for r, f in zip(rows, lead)]
-    return rank
+    return pivots
 
 
 def _eliminate(row, prow, col):
@@ -212,26 +229,43 @@ def _forward(rows):
 
 
 def _rank_bareiss(rows):
-    """Exact rank over Q of zero-free sparse integer rows: the number of
-    pivots of `echelon`'s forward pass.  It keeps its name as the fallback
-    that `rank` takes when the mod-p rank falls short."""
-    return len(_forward(rows))
+    """Exact pivot columns over Q of zero-free sparse integer rows, sorted:
+    the pivots of `echelon`'s forward pass, as many as the rank.  It keeps
+    its name as the fallback that `rank` takes when the mod-p rank falls
+    short."""
+    return sorted(_forward(rows))
 
 
-def rank(rows):
+def _below(keys, width):
+    """How many of the sorted keys lie below width (all when it is None)."""
+    return len(keys) if width is None else bisect_left(keys, width)
+
+
+def rank(rows, widths=None):
     """Exact rank of a matrix with int or Fraction entries, given as dict
     rows (sparse, col -> value) or dense sequences and made sparse integer
     rows: the structural peel, then the packed mod-p rank, then the pivot
     count of `echelon`'s forward pass when the mod-p rank falls short of
     min(rows, cols).
+
+    Given a list of widths, returns instead the exact rank of each column
+    prefix, the columns c < w for each w in widths: its pinned columns plus
+    its pivots, mod p where they meet the prefix's bound, otherwise those
+    of one forward pass that all the short prefixes share.
     """
-    base, rest = _structural_eliminate(_to_sparse_int_rows(rows))
-    if not rest:
-        return base
-    rm = _rank_mod(rest)
-    if rm == min(len(rest), len(set().union(*rest))):
-        return base + rm
-    return base + _rank_bareiss(rest)
+    pinned, rest = _structural_eliminate(_to_sparse_int_rows(rows))
+    pivots = _rank_mod(rest) if rest else []
+    cols = sorted(set().union(*rest))
+    exact = None
+    out = []
+    for w in [None] if widths is None else widths:
+        have = _below(pivots, w)
+        if have < min(len(rest), _below(cols, w)):
+            if exact is None:
+                exact = _rank_bareiss(rest)
+            have = _below(exact, w)
+        out.append(_below(pinned, w) + have)
+    return out[0] if widths is None else out
 
 
 def echelon(rows, ncols):

@@ -183,7 +183,7 @@ def tjurina_certificate(coeffs, s):
         rows = [{(i + u, j + v): c for (i, j), c in g.items()}
                 for u in range(e + 1) for v in range(e + 1 - u)
                 for g in grads]
-        h = (t + 1) * (t + 2) // 2 - linalg._rank_mod(rows)
+        h = (t + 1) * (t + 2) // 2 - len(linalg._rank_mod(rows))
         if h <= s:
             # below s only when the premise on s is wrong
             return h == s

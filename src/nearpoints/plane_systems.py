@@ -5,6 +5,14 @@ monomials X^a Y^b, a+b <= d.  Each embedded cluster contributes the rows of
 its local condition system composed with the exact translation (and shear)
 into its frame; the resulting matrix is the evaluation map whose rank decides
 dimensions and maximal-rank verdicts.
+
+The matrices are graded: for e >= d, the degree-d matrix is the column
+prefix c < (d+1)(d+2)/2 of the degree-e one, up to scaling each row.
+`monomials` lists the degree-d monomials first, every local row is cut at
+a bound set by the multiplicities alone, and the column of X^a Y^b carries
+D^(e-a-b), which is D^(e-d) times its factor in degree d; the common factor
+goes when the row is made primitive.  So `max_rank` builds one matrix, at
+its top degree, and reads every audited degree's rank off its prefixes.
 """
 
 from dataclasses import dataclass
@@ -98,24 +106,6 @@ def expected_dimension(Z, d):
     return max(-1, (d + 1) * (d + 2) // 2 - 1 - Z.total_length)
 
 
-def _audit_degree(Zn, L, d):
-    """One condition matrix and one rank for a normalized union of length L
-    in degree d: returns (defect, actual dimension)."""
-    mat = condition_matrix(Zn, d)
-    have = mat.rank()
-    return min(mat.ncols, L) - have, mat.ncols - 1 - have
-
-
-def max_rank_in_degree(Z, d):
-    """('ok', 0) when the conditions have the largest possible rank in
-    degree d, else ('defect', k) with the shortfall.  Components are
-    normalized to their consistent systems first so the row count equals the
-    length."""
-    Zn = Z.normalized()
-    defect, _ = _audit_degree(Zn, Zn.total_length, d)
-    return ("defect", defect) if defect else ("ok", 0)
-
-
 def level_floor(n):
     """Largest d with (d+1)(d+2)/2 <= n (and 0 when no such d exists)."""
     d = 0
@@ -142,18 +132,30 @@ def max_rank(Z, degrees=None):
     degrees = list(degrees)
     if not degrees:
         raise ValueError("no degree to audit")
+    if min(degrees) < 0:
+        raise ValueError("degree must be nonnegative")
+    # one matrix at the top degree; each degree's rank is that of its
+    # column prefix (see the module docstring)
+    top = condition_matrix(Zn, max(degrees))
+    widths = [(d + 1) * (d + 2) // 2 for d in degrees]
     detail = []
-    ok = True
-    for d in degrees:
-        defect, actual = _audit_degree(Zn, L, d)
+    for d, ncols, have in zip(degrees, widths,
+                              linalg.rank(top.rows, widths)):
+        defect = min(ncols, L) - have
         detail.append({"degree": d, "verdict": "defect" if defect else "ok",
                        "defect": defect,
                        "expected": expected_dimension(Zn, d),
-                       "actual": actual})
-        if defect:
-            ok = False
-    return {"ok": ok, "length": L, "degrees": degrees,
-            "detail": detail}
+                       "actual": ncols - 1 - have})
+    return {"ok": not any(row["defect"] for row in detail), "length": L,
+            "degrees": degrees, "detail": detail}
+
+
+def max_rank_in_degree(Z, d):
+    """('ok', 0) when the conditions have the largest possible rank in
+    degree d, else ('defect', k) with the shortfall: `max_rank` on the one
+    degree."""
+    defect = max_rank(Z, [d])["detail"][0]["defect"]
+    return ("defect", defect) if defect else ("ok", 0)
 
 
 def generic_union(mult_systems, seed, height=DEFAULT_HEIGHT):

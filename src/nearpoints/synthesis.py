@@ -173,12 +173,13 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     last_err = None
     for attempt in (0, 1):
         union = _spec_union(spec, seed + 1000003 * attempt, height)
-        mat_low = condition_matrix(union, d - 1)
-        if mat_low.rank() != union.total_length:
+        mat = condition_matrix(union, d)
+        # the degree-(d-1) matrix is the column prefix below d(d+1)/2
+        [low_rank] = linalg.rank(mat.rows, [d * (d + 1) // 2])
+        if low_rank != union.total_length:
             last_err = ("conditions dependent in degree %d (attempt %d)"
                         % (d - 1, attempt))
             continue
-        mat = condition_matrix(union, d)
         kernel = linalg.kernel(linalg.echelon(mat.rows, mat.ncols), mat.ncols)
         if not kernel:
             raise RuntimeError("empty system in degree %d despite the bound" % d)

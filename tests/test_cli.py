@@ -232,7 +232,14 @@ def test_height_below_one_is_an_error(capsys, argv):
      "argument --tacnodes: invalid _int_list value: '1,x'"),
     (["frobnicate"], None, "argument command: invalid choice: 'frobnicate'"),
     (["--format", "text", "length"], "length",
-     "the following arguments are required: --in")])
+     "the following arguments are required: --in"),
+    # an empty item is an error, not a skipped one
+    (["synthesize", "--tacnodes", "1,,1,1", "--seed", "3"], "synthesize",
+     "argument --tacnodes: invalid _int_list value: '1,,1,1'"),
+    (["synthesize", "--cusps", "1,1,"], "synthesize",
+     "argument --cusps: invalid _int_list value: '1,1,'"),
+    (["experiment", "semicontinuity", "--mults", ","], "experiment",
+     "argument --mults: invalid _int_list value: ','")])
 def test_usage_error_is_an_error_report(capsys, argv, command, message):
     # no usage text on stderr and no SystemExit: the JSON error report,
     # also when --format text was asked for, since parsing did not finish
@@ -245,6 +252,12 @@ def test_usage_error_is_an_error_report(capsys, argv, command, message):
     assert rep["command"] == command and rep["verdict"] == "error"
     assert rep["error"].startswith(message)
     assert "elapsed_s" in rep["timings"]
+
+
+def test_an_empty_list_value_is_the_empty_list():
+    from nearpoints.cli import _int_list
+    assert _int_list("") == _int_list(" ") == []
+    assert _int_list("1, 2,3") == [1, 2, 3]
 
 
 def test_help_still_exits_0(capsys):

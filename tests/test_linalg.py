@@ -180,8 +180,49 @@ def test_forward_pass_rank_matches_bareiss(m, n, data):
              if (v := sum(B[i][t] * C[t][j] for t in range(k)))}
             for i in range(m)]
     rows = [r for r in rows if r]
-    got = linalg._rank_bareiss(rows)
+    got = len(linalg._rank_bareiss(rows))
     assert got == dense_bareiss_rank(rows) <= k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.integers(2, 10), st.data())
+def test_prefix_ranks_match_truncated_matrices(m, n, data):
+    # rank(rows, widths) against the rank of each column-truncated matrix,
+    # for every width 0..n in shuffled order: rows of a product B @ C whose
+    # inner dimension k falls below both sides, so the wide prefixes fall
+    # short of their bound and share one forward pass; some zero entries
+    # stored, and some singleton rows for the structural peel
+    k = data.draw(st.integers(0, min(m, n) - 1))
+    entries = st.integers(-9, 9)
+    B = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    rows = [{j: v for j in range(n)
+             if (v := sum(B[i][t] * C[t][j] for t in range(k)))
+             or data.draw(st.booleans())}
+            for i in range(m)]
+    rows += [{j: v} for j, v in data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=2))]
+    widths = data.draw(st.permutations(range(n + 1)))
+    got = linalg.rank(rows, widths)
+    for w, have in zip(widths, got):
+        cut = [{c: v for c, v in r.items() if c < w} for r in rows]
+        assert have == brute_rank(cut, w) == linalg.rank(cut), w
+    assert got[widths.index(n)] == linalg.rank(rows)
+
+
+def test_prefix_ranks_take_one_forward_pass(monkeypatch):
+    # three prefixes short of their bound over Q share one exact pass;
+    # the prefix of the independent first column is certified mod p
+    rows = [{0: 1, 1: 2, 2: 3, 3: 1}, {0: 2, 1: 4, 2: 6, 3: 5},
+            {0: 3, 1: 6, 2: 9, 3: 6}]
+    calls = []
+    forward = linalg._rank_bareiss
+    monkeypatch.setattr(linalg, "_rank_bareiss",
+                        lambda rows: calls.append(1) or forward(rows))
+    assert linalg.rank(rows, [1, 2, 3, 4, 0]) == [1, 1, 1, 2, 0]
+    assert len(calls) == 1
 
 
 # Reference: the dense Fraction Gauss-Jordan that rref was before it ran on
@@ -349,7 +390,7 @@ def modular_matrices(draw):
 @given(modular_matrices())
 def test_rank_mod_matches_per_cell_elimination(mat_n):
     mat, n = mat_n
-    assert (linalg._rank_mod([dict(enumerate(r)) for r in mat])
+    assert (len(linalg._rank_mod([dict(enumerate(r)) for r in mat]))
             == per_cell_rank_mod(mat, n))
 
 
@@ -370,8 +411,8 @@ def test_rank_mod_reads_columns_off_sparse_keys(mat_n, data):
     # the oracle densifies over the sorted keys present
     cols = sorted({c for r in rows for c in r})
     dense = [[r.get(c, 0) for c in cols] for r in rows]
-    assert linalg._rank_mod(rows) == per_cell_rank_mod(dense, len(cols))
-    assert linalg._rank_mod(rows) == per_cell_rank_mod(mat, n)
+    assert len(linalg._rank_mod(rows)) == per_cell_rank_mod(dense, len(cols))
+    assert len(linalg._rank_mod(rows)) == per_cell_rank_mod(mat, n)
 
 
 def test_rank_mod_at_the_slot_width_bound():
@@ -386,9 +427,9 @@ def test_rank_mod_at_the_slot_width_bound():
         a, b = rng.sample(mat, 2)
         mat.insert(rng.randrange(len(mat) + 1), [x + y for x, y in zip(a, b)])
     assert per_cell_rank_mod(mat, n) == n - 10
-    assert linalg._rank_mod([dict(enumerate(r)) for r in mat]) == n - 10
+    assert len(linalg._rank_mod([dict(enumerate(r)) for r in mat])) == n - 10
     full = [[rng.randrange(P61) for _ in range(n)] for _ in range(n)]
-    assert (linalg._rank_mod([dict(enumerate(r)) for r in full])
+    assert (len(linalg._rank_mod([dict(enumerate(r)) for r in full]))
             == per_cell_rank_mod(full, n) == n)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
                                       track_bounds)
+from nearpoints import linalg
 from nearpoints.linalg import integral
 from nearpoints.polyops import (monomials, p_clean, p_translate,
                                 translated_monomials, u_divide_out)
@@ -107,6 +108,52 @@ def test_max_rank_accepts_a_generator_of_degrees():
     assert rep["degrees"] == [1, 2]
     assert [d["degree"] for d in rep["detail"]] == [1, 2]
     assert rep == max_rank(Z, [1, 2])
+
+
+def test_max_rank_rejects_bad_degrees():
+    Z = generic_union([(2,)] * 3, 8)
+    for degrees in ([-1, 3], [3, -1], [-2], []):
+        with pytest.raises(ValueError):
+            max_rank(Z, degrees)
+    with pytest.raises(ValueError):
+        max_rank_in_degree(Z, -1)
+
+
+# Reference: max_rank's detail as it was computed before the graded prefix,
+# from one condition matrix and one rank per audited degree.
+
+def per_degree_detail(Z, degrees):
+    Zn = Z.normalized()
+    L = Zn.total_length
+    detail = []
+    for d in degrees:
+        mat = condition_matrix(Zn, d)
+        have = mat.rank()
+        defect = min(mat.ncols, L) - have
+        detail.append({"degree": d, "verdict": "defect" if defect else "ok",
+                       "defect": defect,
+                       "expected": expected_dimension(Zn, d),
+                       "actual": mat.ncols - 1 - have})
+    return detail
+
+
+def test_max_rank_matches_the_per_degree_audit():
+    from test_acceptance import _rang_parameter_sets
+    for trial, m, sum_i, sum_j, comps in _rang_parameter_sets(50):
+        Z = generic_union(comps, seed=trial)
+        rep = max_rank(Z)
+        assert rep["detail"] == per_degree_detail(Z, rep["degrees"]), comps
+    # the two exceptional families, defective at degrees 4 and 6
+    families = ([[(2,)] * 5, [(2, 2, 2, 2, 2)], [(2, 2), (2,), (2,), (2,)]],
+                [[(4,)] + [(2,)] * 6, [(4, 2, 2), (2, 2), (2, 2)]])
+    for seed, family in zip((101, 102), families):
+        for comps in family:
+            Z = generic_union(comps, seed=seed)
+            rep = max_rank(Z)
+            assert not rep["ok"]
+            assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
+            full = max_rank(Z, range(9))
+            assert full["detail"] == per_degree_detail(Z, range(9))
 
 
 def test_max_rank_exception_m4():
@@ -243,7 +290,6 @@ def classical_fat_point_rows(bases_mults, d):
 def test_conditions_match_classical_fat_points():
     # for unions of ordinary multiple points the pipeline rows must span
     # exactly the classical Taylor-coefficient conditions
-    from nearpoints import linalg
     for trial in range(8):
         rng = rng_from(trial, "xcheck")
         mults = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
@@ -325,6 +371,18 @@ def test_condition_matrix_matches_fraction_oracle(Z, d):
             labels.append((ci, k, e))
     assert mat.rows == tuple(rows)
     assert mat.labels == tuple(labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_unions(), st.integers(0, 5), st.sampled_from([1, 2]))
+def test_lower_degree_matrix_is_a_column_prefix(Z, d, k):
+    # the invariant max_rank reads its window off: the degree-d matrix
+    # spans the rows of the degree-(d + k) one cut to its columns
+    ncols = (d + 1) * (d + 2) // 2
+    cut = [{c: v for c, v in row.items() if c < ncols}
+           for row in condition_matrix(Z, d + k).rows]
+    assert (linalg.echelon(cut, ncols)
+            == linalg.echelon(condition_matrix(Z, d).rows, ncols))
 
 
 @settings(max_examples=60, deadline=None)
