@@ -240,31 +240,32 @@ def _text_render(report):
     return "\n".join(lines) + "\n"
 
 
+def _report(command, t0, **fields):
+    """A report in the fixed field order: tool, version, command, the given
+    fields, timings."""
+    return {"tool": "nearpoints", "version": __version__, "command": command,
+            **fields, "timings": {"elapsed_s": round(time.time() - t0, 3)}}
+
+
 def main(argv=None):
     t0 = time.time()
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
-        report = {"tool": "nearpoints", "version": __version__,
-                  "command": exc.command, "error": str(exc),
-                  "verdict": "error",
-                  "timings": {"elapsed_s": round(time.time() - t0, 3)}}
-        sys.stdout.write(_render(report, "json"))
+        sys.stdout.write(_render(_report(exc.command, t0, error=str(exc),
+                                         verdict="error"), "json"))
         return 2
-    report = {"tool": "nearpoints", "version": __version__,
-              "command": args.command}
     try:
         results, verdict = run(args)
     except (SchemaError, ValueError, OSError, RuntimeError) as exc:
-        report.update(error=str(exc), verdict="error")
+        report = _report(args.command, t0, error=str(exc), verdict="error")
         code = 2
     else:
         config = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("format", "out") and v is not None}
-        report.update(config=jsonable(config), results=jsonable(results),
-                      verdict=verdict)
+        report = _report(args.command, t0, config=jsonable(config),
+                         results=jsonable(results), verdict=verdict)
         code = 0 if verdict == "ok" else 1
-    report["timings"] = {"elapsed_s": round(time.time() - t0, 3)}
     payload = _render(report, args.format)
     if args.out:
         try:
@@ -272,10 +273,9 @@ def main(argv=None):
                 fh.write(payload)
         except OSError as exc:
             # the report could not be kept: say so instead of the report
-            report = {"tool": report["tool"], "version": report["version"],
-                      "command": report["command"],
-                      "error": "cannot write --out: %s" % exc,
-                      "verdict": "error", "timings": report["timings"]}
+            report = _report(args.command, t0,
+                             error="cannot write --out: %s" % exc,
+                             verdict="error")
             payload = _render(report, args.format)
             code = 2
     sys.stdout.write(payload)

@@ -2,16 +2,17 @@
 
 The computation walks a single chain point by point.  In the frame at the
 current point the latest exceptional divisor is the axis {x = 0} and, when
-the current point is a satellite, the older one is {y = 0}.  Moving to the
-next point is one of three exact substitutions on truncated polynomials:
+the current point is a satellite, the older one is {y = 0}.  Each point
+is reached from its predecessor by one blowup, a pair (swap, lam) carried
+out as one exact substitution on truncated polynomials: exchange x and y
+when swap is set, then f(x, y) -> f(x, x*(y + lam)) / x^m.  A free point is
+the direction lam on the new divisor.  A satellite is a corner, direction 0:
+f(x, x*y) reaches the corner with the older divisor and, after the
+exchange, f(x*y, x) the corner with the previous one.  So lam = 0 right
+after a satellite is the older-corner satellite, and `EmbeddedCluster`
+forbids it on a free point.
 
-  free point with direction parameter t:  f(x, y) -> f(x, x*(y + t)) / x^m
-  satellite over the corner with the previous exceptional divisor:
-                                          f(x, y) -> f(x*y, x) / x^m
-  satellite over the corner with the older divisor (its predecessor being a
-  satellite over the same target):        f(x, y) -> f(x, x*y) / x^m
-
-`_step_kinds` decides which substitution reaches each point, and
+`EmbeddedCluster.steps` gives the pair that reaches each point, and
 `_step_sparse` is the only place that carries one out.  It acts on a state
 that maps local monomials to integer column dicts over one running
 denominator, and `_walk` carries a state along the chain.  Its callers
@@ -95,6 +96,17 @@ class EmbeddedCluster:
     def extras(self):
         return self.weighted.cluster.chains[0]
 
+    @property
+    def steps(self):
+        """The blowup reaching each point k >= 1 as (swap, lam), None for
+        the root: a free point is its direction lam, a satellite is the
+        direction 0, after the exchange when it lies over the previous
+        divisor (extra proximity to k-2)."""
+        return (None,) + tuple(
+            (False, self.lambdas[k]) if t is None
+            else (t == k - 2, Fraction(0))
+            for k, t in enumerate(self.extras[1:], 1))
+
     def with_mults(self, mults):
         return EmbeddedCluster(self.weighted.with_mults(mults), self.lambdas,
                                self.base, self.shear)
@@ -125,14 +137,14 @@ def embed(wc, lambdas=None, base=(0, 0), shear=0, rng=None,
           height=DEFAULT_HEIGHT):
     """Embed a single-chain weighted cluster; random admissible lambdas are
     drawn from rng where not supplied."""
-    extras = wc.cluster.chains[0]
     lams = list(lambdas) if lambdas is not None else [None] * wc.r
-    for k in range(1, wc.r):
-        if extras[k] is None and lams[k] is None:
-            if rng is None:
-                raise ValueError("free point %d needs a lambda" % k)
-            lams[k] = rand_fraction(rng, height,
-                                    nonzero=extras[k - 1] is not None)
+    if rng is not None:
+        # a tuple of the wrong length is left to EmbeddedCluster to reject
+        extras = wc.cluster.chains[0]
+        for k in range(1, min(len(extras), len(lams))):
+            if extras[k] is None and lams[k] is None:
+                lams[k] = rand_fraction(rng, height,
+                                        nonzero=extras[k - 1] is not None)
     return EmbeddedCluster(wc, tuple(lams), base, shear)
 
 
@@ -150,62 +162,42 @@ def track_bounds(mults, slack=0):
     return bounds
 
 
-def _step_sparse(state, den, kind, lam, m_leave, keep_bound):
-    """Advance a state one blowup: the substitution of the given kind, then
-    division by x^m_leave, keeping monomials of degree below keep_bound.
-    state maps local monomials to integer column dicts over the common
-    denominator den, storing no zero entry and no empty dict; returns the
-    new (state, den) in the same form (a sum that cancels is deleted, which
-    is safe because no stored entry, hence no added term, is 0)."""
+# Transforms are read past the condition degrees (the leading form at each
+# point), so their truncation keeps this many degrees more.
+_TRANSFORM_SLACK = 2
+
+
+def _step_sparse(state, den, swap, lam, m_leave, keep_bound):
+    """Advance a state one blowup: exchange x and y when swap is set, then
+    f(x, y) -> f(x, x*(y + lam)) / x^m_leave, keeping monomials of degree
+    below keep_bound.  state maps local monomials to integer column dicts
+    over the common denominator den, storing no zero entry and no empty
+    dict; returns the new (state, den) in the same form (a sum that cancels
+    is deleted, which is safe because no stored entry, hence no added term,
+    is 0)."""
+    p, q = lam.numerator, lam.denominator
+    bmax = max((a if swap else b for (a, b) in state), default=0)
+    qpow = [q ** e for e in range(bmax + 1)]
     new = {}
-    if kind == "free":
-        p, q = lam.numerator, lam.denominator
-        bmax = max((b for (_, b) in state), default=0)
-        qpow = [q ** e for e in range(bmax + 1)]
-        for (a, b), vec in state.items():
-            base_a = a + b - m_leave
-            for l in range(b + 1):
-                if base_a < 0 or base_a + l >= keep_bound:
-                    continue
-                coef = comb(b, l) * p ** (b - l) * qpow[bmax - (b - l)]
-                if not coef:
-                    continue
-                tgt = new.setdefault((base_a, l), {})
-                for col, v in vec.items():
-                    s = tgt.get(col, 0) + coef * v
-                    if s:
-                        tgt[col] = s
-                    else:
-                        del tgt[col]
-        return {e: vec for e, vec in new.items() if vec}, den * qpow[bmax]
-    # satellite moves carry coefficient 1
     for (a, b), vec in state.items():
+        if swap:
+            a, b = b, a
         base_a = a + b - m_leave
-        yexp = a if kind == "corner_prev" else b
-        if base_a < 0 or base_a + yexp >= keep_bound:
+        if base_a < 0:
             continue
-        tgt = new.setdefault((base_a, yexp), {})
-        for col, v in vec.items():
-            s = tgt.get(col, 0) + v
-            if s:
-                tgt[col] = s
-            else:
-                del tgt[col]
-    return {e: vec for e, vec in new.items() if vec}, den
-
-
-def _step_kinds(ec):
-    """For each point k >= 1, which substitution reaches it."""
-    extras = ec.extras
-    kinds = [None]
-    for k in range(1, ec.r):
-        if extras[k] is None:
-            kinds.append(("free", ec.lambdas[k]))
-        elif extras[k] == k - 2:
-            kinds.append(("corner_prev", None))
-        else:
-            kinds.append(("corner_old", None))
-    return kinds
+        # x^a y^b -> x^(base_a) (y + lam)^b; at lam = 0 only y^b survives
+        for l in range(b + 1) if p else (b,):
+            if base_a + l >= keep_bound:
+                break
+            coef = comb(b, l) * p ** (b - l) * qpow[bmax - (b - l)]
+            tgt = new.setdefault((base_a, l), {})
+            for col, v in vec.items():
+                s = tgt.get(col, 0) + coef * v
+                if s:
+                    tgt[col] = s
+                else:
+                    del tgt[col]
+    return {e: vec for e, vec in new.items() if vec}, den * qpow[bmax]
 
 
 def _walk(ec, state, den, bounds, divisor):
@@ -213,14 +205,14 @@ def _walk(ec, state, den, bounds, divisor):
     k.  The blowup leaving point k divides by x^divisor(k, state); it is
     asked for once the caller has read point k.  bounds[k] truncates the
     state arriving at point k."""
-    kinds = _step_kinds(ec)
+    steps = ec.steps
     state = {e: vec for e, vec in state.items()
              if e[0] + e[1] < bounds[0] and vec}
     for k in range(ec.r):
         yield k, state, den
         if k + 1 < ec.r:
-            kind, lam = kinds[k + 1]
-            state, den = _step_sparse(state, den, kind, lam,
+            swap, lam = steps[k + 1]
+            state, den = _step_sparse(state, den, swap, lam,
                                       divisor(k, state), bounds[k + 1])
 
 
@@ -407,7 +399,7 @@ def _germ_of(state, den):
     return {e: Fraction(vec[0], den) for e, vec in state.items()}
 
 
-def germ_transforms(ec, mults, f, slack=2):
+def germ_transforms(ec, mults, f):
     """Virtual transforms of a concrete germ along the chain, truncated.
 
     Yields the polynomial arriving at each point.  Raises if f fails a
@@ -421,10 +413,11 @@ def germ_transforms(ec, mults, f, slack=2):
 
     state, den = _germ_state(f)
     return [_germ_of(s, d) for _, s, d in
-            _walk(ec, state, den, track_bounds(mults, slack), divisor)]
+            _walk(ec, state, den, track_bounds(mults, _TRANSFORM_SLACK),
+                  divisor)]
 
 
-def strict_transforms(ec, f, slack=2, bound_base=None):
+def strict_transforms(ec, f, bound_base=None):
     """Actual (non-virtual) transforms: at each point the attained
     multiplicity is divided out.  Returns (per-point polynomial, attained
     multiplicities).  Multiplicities beyond the audit bound come back as
@@ -440,7 +433,8 @@ def strict_transforms(ec, f, slack=2, bound_base=None):
     attained = []
     # the walk asks for the divisor after point k is read; a transform that
     # has vanished is carried on without division
-    for _, s, d in _walk(ec, state, den, track_bounds(bound_base, slack),
+    for _, s, d in _walk(ec, state, den,
+                         track_bounds(bound_base, _TRANSFORM_SLACK),
                          lambda k, _: attained[k] or 0):
         g = _germ_of(s, d)
         polys.append(g)
@@ -459,7 +453,7 @@ def multiplicities_along(ec, f):
     if e1 < 0:
         raise ValueError("zero germ has no multiplicities")
     base = [max(m, e1, 1) for m in ec.mults]
-    _, es = strict_transforms(ec, f, slack=2, bound_base=base)
+    _, es = strict_transforms(ec, f, bound_base=base)
     if any(e is None for e in es):
         raise ValueError("germ multiplicity exceeds the audit bound")
     return es
@@ -499,7 +493,7 @@ def sandwiched_ideal_point(ec, m1, i, j, I):
     if H_minus.dim - H_plus.dim > 2:
         raise RuntimeError("dimension gap exceeds 2; should be impossible")
     f = next(g for g in I.basis() if not contains(H_plus, g))
-    v = germ_transforms(ec, m_minus, f, slack=2)[-1]
+    v = germ_transforms(ec, m_minus, f)[-1]
     cx = v.get((1, 0), Fraction(0))
     cy = v.get((0, 1), Fraction(0))
     if v.get((0, 0), 0) or (cx == 0 and cy == 0):

@@ -12,6 +12,7 @@ from .clusters import (WeightedCluster, satellite_targets, single_chain,
 from .local_algebra import EmbeddedCluster, colength, embed
 from .plane_systems import stratum_ell, us_consistent, _head_system
 from .sampling import DEFAULT_HEIGHT, rand_fraction, rational_count, rng_from
+from .synthesis import cusp_scheme, tacnode_scheme
 from .unloading import length, unload
 
 
@@ -181,6 +182,8 @@ def one_more_point_lengths(ec, samples=20, seed=0, height=DEFAULT_HEIGHT):
 
     The free positions are distinct rationals of height <= height; asking
     for more than exist is a ValueError."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     rng = rng_from(seed, "one-more-point", ec.mults)
     targets = ec.satellite_targets_for_next()
     need = max(0, samples - len(targets))
@@ -213,7 +216,6 @@ def cusp_to_tacnode_chain(n, seed=0, height=DEFAULT_HEIGHT):
     """The end-to-end degeneration of an extended cusp scheme: specialize
     the extra point to the satellite over the previous free point, unload,
     and compare with the tacnode scheme of the next order."""
-    from .synthesis import cusp_scheme, tacnode_scheme
     ec = cusp_scheme(n, seed=seed, height=height)
     special = specialize_to_satellite(ec, ec.r - 1, target=n)
     tr = unload(special.weighted)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clusters import WeightedCluster, free_chain, single_chain
-from .local_algebra import _step_kinds, embed, strict_transforms, to_local
+from .local_algebra import embed, strict_transforms, to_local
 from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, condition_matrix
 from . import linalg
@@ -242,9 +242,9 @@ def verify_sharp(C, ec):
     f = to_local(coeffs, ec)
     if not f:
         raise ValueError("curve vanishes identically in the local chart")
-    polys, attained = strict_transforms(ec, f, slack=2)
+    polys, attained = strict_transforms(ec, f)
     mults = ec.mults
-    kinds = _step_kinds(ec)
+    steps = ec.steps
     notes = []
     crossings_ok = True
 
@@ -262,21 +262,19 @@ def verify_sharp(C, ec):
         if not g:
             continue
         psi, vert_mult = _leading_univariate(g)
-        # where the tracked branches continue: the direction of the next
-        # cluster point on this exceptional divisor
-        cont = None
-        if k + 1 < ec.r:
-            kind, lam = kinds[k + 1]
-            cont = {"free": lam, "corner_prev": "vert"}.get(kind, Fraction(0))
+        # where the tracked branches continue: the next cluster point is
+        # the vertical direction when its step exchanges x and y, else the
+        # root lam of the leading form (none after the last point)
+        swap, lam = steps[k + 1] if k + 1 < ec.r else (False, None)
         # corner with the previous exceptional divisor (vertical direction)
-        if cont != "vert":
+        if not swap:
             if k >= 1 and vert_mult > 0:
                 fail("branch through the corner with the previous divisor "
                      "at point %d" % k)
             elif k == 0 and vert_mult > 1:
                 fail("non-simple crossing in the unchartable direction at "
                      "the base point")
-        res = u_divide_out(psi, cont)[1] if isinstance(cont, Fraction) else psi
+        res = psi if swap or lam is None else u_divide_out(psi, lam)[1]
         # corner with the older divisor (direction y = 0) at a satellite
         if ec.extras[k] is not None and u_divide_out(res, 0)[0] > 0:
             fail("branch through the corner with the older divisor "

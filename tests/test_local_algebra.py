@@ -8,7 +8,7 @@ from nearpoints import linalg
 from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
                                  us_chain, weighted_chain)
 from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
-                                      _step_kinds, _walk, colength,
+                                      _walk, colength,
                                       colon_subspace, contains, embed,
                                       sandwiched_ideal_point, ideal_subspace,
                                       local_conditions, multiplicities_along,
@@ -17,6 +17,7 @@ from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
 from nearpoints.polyops import (monomial_index, monomials, p_clean,
                                 p_min_deg)
 from nearpoints.sampling import random_weighted_chain, rng_from
+from nearpoints.synthesis import cusp_scheme, dk_scheme, tacnode_scheme
 from nearpoints.unloading import length
 from test_linalg import dense_fraction_rref
 from test_plane_systems import p_mul
@@ -35,6 +36,23 @@ def test_embedding_validation():
         # lambda 0 right after a satellite is the forbidden corner direction
         ec_of([None, None, 0, None], [2, 1, 1, 1], [None, 0, None, 0])
     ec_of([None, None, 0, None], [2, 1, 1, 1], [None, 0, None, 1])
+
+
+@pytest.mark.parametrize("rng", [None, rng_from(0, "short-lambdas")])
+def test_embed_rejects_a_lambda_tuple_of_the_wrong_length(rng):
+    wc = weighted_chain([None] * 3, [2, 1, 1])
+    for lams in [(None,), (None, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="one lambda slot per point"):
+            embed(wc, lambdas=lams, rng=rng)
+    with pytest.raises(ValueError, match="free point 1 needs a lambda"):
+        embed(wc, lambdas=(None, None, 2))
+
+
+def test_scheme_constructors_reject_a_short_lambda_tuple():
+    for make, order in ((tacnode_scheme, 3), (cusp_scheme, 2),
+                        (dk_scheme, 8)):
+        with pytest.raises(ValueError, match="one lambda slot per point"):
+            make(order, lambdas=(None,))
 
 
 def test_conditions_double_point():
@@ -323,7 +341,23 @@ def test_sandwiched_ideal_point_rejects_non_strict():
 
 
 # Reference: the blowup substitution written out over Fractions, as the
-# transforms of a germ were computed before they shared the integer step.
+# transforms of a germ were computed before they shared the integer step,
+# with its three cases read off the chain here and not from the library.
+
+def _fraction_kinds(ec):
+    """For each point k >= 1, which substitution reaches it: the free
+    direction lam, the corner with the previous exceptional divisor (extra
+    proximity to k-2) or the corner with the older one."""
+    kinds = [None]
+    for k in range(1, ec.r):
+        if ec.extras[k] is None:
+            kinds.append(("free", ec.lambdas[k]))
+        elif ec.extras[k] == k - 2:
+            kinds.append(("corner_prev", None))
+        else:
+            kinds.append(("corner_old", None))
+    return kinds
+
 
 def _fraction_step(g, kind, lam, m, bound):
     new = {}
@@ -348,9 +382,9 @@ def _fraction_step(g, kind, lam, m, bound):
     return p_clean(new)
 
 
-def fraction_germ_transforms(ec, mults, f, slack=2):
-    bounds = track_bounds(mults, slack)
-    kinds = _step_kinds(ec)
+def fraction_germ_transforms(ec, mults, f):
+    bounds = track_bounds(mults, 2)
+    kinds = _fraction_kinds(ec)
     g = {e: Fraction(c) for e, c in f.items() if e[0] + e[1] < bounds[0]}
     out = []
     for k in range(ec.r):
@@ -366,9 +400,9 @@ def fraction_germ_transforms(ec, mults, f, slack=2):
     return out
 
 
-def fraction_strict_transforms(ec, f, slack=2):
-    bounds = track_bounds([max(m, 1) for m in ec.mults], slack)
-    kinds = _step_kinds(ec)
+def fraction_strict_transforms(ec, f):
+    bounds = track_bounds([max(m, 1) for m in ec.mults], 2)
+    kinds = _fraction_kinds(ec)
     g = p_clean({e: Fraction(c) for e, c in f.items()
                  if e[0] + e[1] < bounds[0]})
     polys, attained = [], []
@@ -421,12 +455,11 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(embedded_chains(), germs, st.integers(0, 3))
-def test_transforms_match_fraction_oracle(ec, f, slack):
-    assert strict_transforms(ec, f, slack) == \
-        fraction_strict_transforms(ec, f, slack)
-    assert _outcome(germ_transforms, ec, ec.mults, f, slack) == \
-        _outcome(fraction_germ_transforms, ec, ec.mults, f, slack)
+@given(embedded_chains(), germs)
+def test_transforms_match_fraction_oracle(ec, f):
+    assert strict_transforms(ec, f) == fraction_strict_transforms(ec, f)
+    assert _outcome(germ_transforms, ec, ec.mults, f) == \
+        _outcome(fraction_germ_transforms, ec, ec.mults, f)
 
 
 def test_germ_transforms_oracle_on_germs_through_the_cluster():

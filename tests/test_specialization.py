@@ -107,6 +107,13 @@ def test_one_more_point_constant_length():
     assert rep["values"] == [colength(ec) + 1]
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_one_more_point_lengths_needs_a_sample(samples):
+    ec = embed(weighted_chain([None], [2]))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        one_more_point_lengths(ec, samples=samples)
+
+
 ONE_MORE_AT_HEIGHT_1 = """
 import sys
 from nearpoints.clusters import weighted_chain
