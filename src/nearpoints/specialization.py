@@ -136,11 +136,8 @@ def limit_identities(s, m, i, j):
 
 def limit_identities_sweep(s_max=5, m_max=10, i_max=12, j_max=12):
     """Sweep the identity checks over s in [2, s_max] and m, i, j from 0 up
-    to their bounds; returns (cases_detected, counterexamples)."""
-    if s_max < 2 or min(m_max, i_max, j_max) < 0:
-        raise ValueError("empty sweep: need s_max >= 2 and the other bounds "
-                         ">= 0, got %d, %d, %d, %d"
-                         % (s_max, m_max, i_max, j_max))
+    to their bounds; returns (cases_detected, counterexamples).  A sweep
+    that detects no case, an empty range included, is a ValueError."""
     detected = 0
     bad = []
     for s in range(2, s_max + 1):
@@ -152,6 +149,9 @@ def limit_identities_sweep(s_max=5, m_max=10, i_max=12, j_max=12):
                         detected += 1
                         if not rep.get("ok", False):
                             bad.append(rep)
+    if not detected:
+        raise ValueError("empty sweep: no case detected for s <= %d, m <= %d, "
+                         "i <= %d, j <= %d" % (s_max, m_max, i_max, j_max))
     return detected, bad
 
 

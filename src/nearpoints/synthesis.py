@@ -160,13 +160,14 @@ def _spec_union(spec, seed, height):
 
 def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     """Draw an exact degree-d curve through a general-position realization
-    of the singularity schemes.
-
-    Checks that the union imposes independent conditions in degree d-1 (the
-    genericity hypothesis that makes the general member irreducible and
-    exactly as singular as prescribed); one resample is attempted if the
-    seeded draw misses it.  Returns (PlaneCurve, SchemeUnion).
-    """
+    of the singularity schemes from one echelon form per attempt of the
+    degree-d condition matrix.  Its pivots below d(d+1)/2 count the rank in
+    degree d-1, which must be the union's length (the genericity hypothesis
+    that makes the general member irreducible and exactly as singular as
+    prescribed); one resample is attempted if the seeded draw misses it.
+    The curve is the kernel vector with seeded integer free entries, drawn
+    again while all are 0; each echelon row gives its pivot entry.  Returns
+    (PlaneCurve, SchemeUnion)."""
     if d < degree_bound(spec.weight):
         raise ValueError("degree %d below the bound %d"
                          % (d, degree_bound(spec.weight)))
@@ -174,24 +175,23 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     for attempt in (0, 1):
         union = _spec_union(spec, seed + 1000003 * attempt, height)
         mat = condition_matrix(union, d)
-        # the degree-(d-1) matrix is the column prefix below d(d+1)/2
-        [low_rank] = linalg.rank(mat.rows, [d * (d + 1) // 2])
-        if low_rank != union.total_length:
+        ech = linalg.echelon(mat.rows, mat.ncols)
+        pivots = [min(row) for row in ech]
+        if sum(pc < d * (d + 1) // 2 for pc in pivots) != union.total_length:
             last_err = ("conditions dependent in degree %d (attempt %d)"
                         % (d - 1, attempt))
             continue
-        kernel = linalg.kernel(linalg.echelon(mat.rows, mat.ncols), mat.ncols)
-        if not kernel:
+        free = sorted(set(range(mat.ncols)).difference(pivots))
+        if not free:
             raise RuntimeError("empty system in degree %d despite the bound" % d)
         rng = rng_from(seed, "draw", attempt, d)
-        mons = monomials(d)
-        vec = {}
+        vec = dict.fromkeys(free, 0)
         while not any(vec.values()):
-            for basis_vec in kernel:
-                c = rng.randint(-height, height)
-                if c:
-                    for i, v in basis_vec.items():
-                        vec[i] = vec.get(i, 0) + c * v
+            vec = {f: rng.randint(-height, height) for f in free}
+        for row, pc in zip(ech, pivots):
+            vec[pc] = Fraction(-sum(v * vec[c] for c, v in row.items()
+                                    if c != pc), row[pc])
+        mons = monomials(d)
         coeffs = p_primitive({mons[i]: vec[i] for i in sorted(vec) if vec[i]})
         return PlaneCurve(d, coeffs), union
     raise RuntimeError("could not reach general position: %s" % last_err)

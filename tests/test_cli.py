@@ -89,6 +89,8 @@ def test_maxrank_without_degrees_is_an_error(capsys):
     ["limit-identities", "--i-max", "-1"],
     ["limit-identities", "--j-max", "-2"],
     ["limit-dimension", "--s", "1"],
+    ["limit-identities", "--m-max", "1"],
+    ["limit-identities", "--i-max", "1"],
 ], ids=" ".join)
 def test_experiment_on_an_empty_range_is_an_error(capsys, argv):
     # nothing would be checked: no verdict to give

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -146,6 +147,41 @@ def test_synthesize_three_nodes():
         assert verify_sharp(curve, ec).ok
 
 
+def collinear_bases(monkeypatch, calls):
+    """Patch the base draw: its first `calls` calls give the collinear
+    bases (k, 2k), later ones the seeded draw."""
+    seeded = synthesis.distinct_points
+    made = []
+
+    def draw(rng, count, height):
+        made.append(count)
+        if len(made) <= calls:
+            return [(Fraction(k), Fraction(2 * k)) for k in range(1, count + 1)]
+        return seeded(rng, count, height)
+    monkeypatch.setattr(synthesis, "distinct_points", draw)
+
+
+def test_synthesize_resamples_dependent_conditions(monkeypatch):
+    # three collinear nodes are dependent on cubics: attempt 0 fails the
+    # degree-3 check and attempt 1 draws the curve through fresh bases
+    spec = SingularitySpec(tacnodes=(1, 1, 1))
+    want_union = synthesis._spec_union(spec, 8 + 1000003,
+                                       synthesis.DEFAULT_HEIGHT)
+    collinear_bases(monkeypatch, 1)
+    curve, union = synthesize(spec, 4, seed=8)
+    assert union == want_union
+    for ec in union.components:
+        assert verify_sharp(curve, ec).ok
+
+
+def test_synthesize_gives_up_after_one_resample(monkeypatch):
+    collinear_bases(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as err:
+        synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 4, seed=8)
+    assert str(err.value) == ("could not reach general position: conditions "
+                              "dependent in degree 3 (attempt 1)")
+
+
 def test_synthesize_below_bound():
     with pytest.raises(ValueError):
         synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 3, seed=8)
@@ -252,14 +288,15 @@ def dense_nullspace_synthesize(spec, d, seed=0, height=synthesis.DEFAULT_HEIGHT)
 
 def test_synthesize_matches_the_dense_nullspace_draw():
     from test_acceptance import PIPELINE_SPECS
-    for spec in PIPELINE_SPECS:
+    for seed, spec in itertools.product((0, 1, 2), PIPELINE_SPECS):
         d = min_degree(spec)
-        curve, union = synthesize(spec, d, seed=0)
-        want, want_union = dense_nullspace_synthesize(spec, d, seed=0)
+        curve, union = synthesize(spec, d, seed=seed)
+        want, want_union = dense_nullspace_synthesize(spec, d, seed=seed)
         assert union == want_union
         # equal as dicts and in the key order the reports print
-        assert curve == want, spec
-        assert list(curve.coeffs.items()) == list(want.coeffs.items()), spec
+        assert curve == want, (seed, spec)
+        assert list(curve.coeffs.items()) == list(want.coeffs.items()), \
+            (seed, spec)
 
 
 # Reference: the Fraction Euclid that decided squarefreeness before the
