@@ -10,8 +10,9 @@ point with Tjurina number k.  Once every sharpness certificate has passed,
 the Tjurina-count certificate (`tjurina_certificate`, from `locus`) shows
 that the curve is reduced and singular nowhere else, at infinity included.
 The resultant locus (`singular_locus`) is the fallback: it solves for all
-singular points exactly whenever the premise or the count fails.  This
-module does not import sympy; `locus` does, on the first resultant locus.
+singular points exactly whenever a sharpness certificate or the count
+fails.  This module does not import sympy; `locus` does, on the first
+resultant locus.
 """
 
 from dataclasses import dataclass
@@ -295,10 +296,9 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
     The locus is certified by the Tjurina count first, with the resultant
     locus as the fallback.  The count is taken only when every sharpness
     certificate passed, since only then is the Tjurina number at each base
-    point known, and only when no two bases share an x-coordinate, so that
-    the sorted bases are the list the resultant locus would report.  A pass
-    proves the curve reduced with no singular point besides the bases;
-    otherwise `singular_locus` solves for all singular points.
+    point known.  A pass proves the curve reduced with no singular point
+    besides the bases; otherwise `singular_locus` solves for all singular
+    points.  Either way `singular_points` is sorted by (x, y).
 
     Irreducibility is certified by hypothesis: the conditions were checked
     independent one degree down and the base scheme is not a single point of
@@ -318,34 +318,31 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
                                   "prescribed": list(c.prescribed),
                                   "notes": list(c.notes)} for c in certs]
         sharp = all(c.ok for c in certs)
-        # each base is formatted once, for its point and for "bases"
-        names = {ec.base: tuple(map(str, ec.base)) for ec in union.components}
-        expected = sorted(names)
-        locus_ok = False
-        if (sharp and len({x for x, _ in expected}) == len(expected)
-                and tjurina_certificate(curve.coeffs, spec.tjurina)):
+        found, clean = None, True
+        if sharp and tjurina_certificate(curve.coeffs, spec.tjurina):
             # a sharp certificate attains the prescribed multiplicity at
             # its base, which the sheared local frame does not change
-            mult = {ec.base: c.attained[0]
-                    for ec, c in zip(union.components, certs)}
-            entry["singular_points"] = [
-                {"point": list(names[b]), "multiplicity": mult[b]}
-                for b in expected]
-            entry["locus_ok"] = locus_ok = True
+            found = [(ec.base, c.attained[0])
+                     for ec, c in zip(union.components, certs)]
         else:
             try:
                 locus = singular_locus(curve)
-                got = sorted(p["point"] for p in locus["affine"])
-                locus_ok = (got == expected and not locus["affine_unlocated"]
-                            and not locus["infinity"]
-                            and not locus["infinity_unlocated"])
-                entry["singular_points"] = [
-                    {"point": [str(p["point"][0]), str(p["point"][1])],
-                     "multiplicity": p["multiplicity"]}
-                    for p in locus["affine"]]
-                entry["locus_ok"] = locus_ok
             except ValueError as exc:
                 entry["locus_error"] = str(exc)
+            else:
+                found = [(p["point"], p["multiplicity"])
+                         for p in locus["affine"]]
+                clean = not (locus["affine_unlocated"] or locus["infinity"]
+                             or locus["infinity_unlocated"])
+        locus_ok = False
+        if found is not None:
+            found.sort()                # by (x, y); no point is listed twice
+            entry["singular_points"] = [
+                {"point": [str(x), str(y)], "multiplicity": m}
+                for (x, y), m in found]
+            entry["locus_ok"] = locus_ok = clean and (
+                [p for p, _ in found]
+                == sorted(ec.base for ec in union.components))
         entry["ok"] = locus_ok and sharp
         attempts.append(entry)
         if entry["ok"]:
@@ -369,5 +366,5 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         "curve": {"degree": curve.d,
                   "coefficients": {monomial_key(e): str(Fraction(c))
                                    for e, c in sorted(curve.coeffs.items())}},
-        "bases": [list(names[ec.base]) for ec in union.components],
+        "bases": [[str(v) for v in ec.base] for ec in union.components],
     }

@@ -398,7 +398,9 @@ def test_commands_run_without_sympy(tmp_path):
             (["maxrank", "--in", fixture("five_doubles.json")], 1),
             (["verify", "--curve", str(curve_path), "--union",
               str(union_path)], 0),
-            (["synthesize", "--tacnodes", "1,1,1", "--seed", "31000"], 0)):
+            (["synthesize", "--tacnodes", "1,1,1", "--seed", "31000"], 0),
+            # two of the bases share an x-coordinate
+            (["synthesize", "--tacnodes", "1,1,1,1", "--seed", "205"], 0)):
         proc = _child("-c", NO_SYMPY, *argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr == ""

@@ -216,6 +216,9 @@ def test_driver_mixed():
 def test_tjurina_fast_path_equals_resultant_fallback(monkeypatch):
     from test_acceptance import PIPELINE_SPECS
     runs = [(spec, 31000 + k) for k, spec in enumerate(PIPELINE_SPECS[:8])]
+    # seeded draws where two bases share an x-coordinate
+    runs += [(PIPELINE_SPECS[k], seed)
+             for seed, k in ((204, 9), (205, 5), (210, 9), (212, 10))]
     calls = []
     locus_fn = synthesis.singular_locus
     monkeypatch.setattr(synthesis, "singular_locus",
@@ -231,20 +234,28 @@ def test_tjurina_fast_path_equals_resultant_fallback(monkeypatch):
     assert fast == slow
 
 
-def test_shared_x_takes_the_resultant_fallback(monkeypatch):
-    bases = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(5)),
+def test_shared_x_takes_the_tjurina_certificate(monkeypatch):
+    bases = [(Fraction(0), Fraction(5)), (Fraction(0), Fraction(0)),
              (Fraction(3), Fraction(-2))]
     monkeypatch.setattr(synthesis, "distinct_points",
                         lambda rng, count, height: bases[:count])
     calls = []
-    locus_fn = synthesis.singular_locus
-    monkeypatch.setattr(synthesis, "singular_locus",
-                        lambda C: calls.append(C) or locus_fn(C))
+    monkeypatch.setattr(synthesis, "singular_locus", calls.append)
     rep = existence_driver(SingularitySpec(tacnodes=(1, 1, 1)), seed=4)
-    assert rep["verdict"] == "ok"
-    assert len(calls) == len(rep["attempts"])
-    assert sorted(p["point"] for p in rep["attempts"][-1]["singular_points"]) \
-        == sorted([str(x), str(y)] for x, y in bases)
+    assert rep["verdict"] == "ok" and calls == []
+    assert [p["point"] for p in rep["attempts"][-1]["singular_points"]] \
+        == [[str(x), str(y)] for x, y in sorted(bases)]
+
+
+def test_sharp_attempts_never_reach_the_resultant_locus(monkeypatch):
+    # seed 205 draws two tacnodes of (1, 1, 1, 1) at x = -24
+    from test_acceptance import PIPELINE_SPECS
+    calls = []
+    monkeypatch.setattr(synthesis, "singular_locus", calls.append)
+    for seed, spec in itertools.product(range(200, 215), PIPELINE_SPECS[:8]):
+        rep = existence_driver(spec, seed=seed)
+        assert rep["verdict"] == "ok", (seed, spec)
+    assert calls == []
 
 
 def test_dk_maximal_rank_small():
