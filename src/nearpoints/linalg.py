@@ -8,25 +8,24 @@ by the lcm of its denominators, `primitive` divides an integer row by its
 content and fixes its sign), and rank and echelon pass every row through
 `integral` first.  Column keys need only sort, so tuples serve too.
 
-`rank` peels singleton rows structurally, then certifies the rest with a
-modular rank: a nonzero minor mod p is nonzero over Q, so the rank mod p
-never exceeds the rank over Q, which never exceeds min(rows, cols).  A
-mod-p rank that reaches that bound (full row rank, or full column rank of
-a tall matrix) is exact; only a matrix whose mod-p rank falls short of it,
-which includes every rank-deficient one, is counted exactly by the forward
-pass of `echelon`, the one exact elimination in the package.
+`rank` certifies a sparse integer matrix with a modular rank: a nonzero
+minor mod p is nonzero over Q, so the rank mod p never exceeds the rank
+over Q, which never exceeds min(rows, cols).  A mod-p rank that reaches
+that bound (full row rank, or full column rank of a tall matrix) is exact;
+only a matrix whose mod-p rank falls short of it, which includes every
+rank-deficient one, is counted exactly by the forward pass of `echelon`,
+the one exact elimination in the package.
 
 Both eliminations walk the columns in key order, so each returns its pivot
 columns, and the rank of a column prefix (the columns c < w) is the number
 of pivots below w: the rows leading below w stay independent when cut to
-the prefix, and the others vanish there.  The peel commutes with the cut,
-since a pinned column is cleared by deleting entries.  So `rank(rows,
-widths)` gives every prefix's rank from one peel, one mod-p elimination
-and at most one forward pass.  Each prefix is certified on its own: its
-mod-p pivot count is the rank mod p of the cut rows, which is at most
-their rank over Q, which is at most min(rows, columns below w); a count
-that meets that bound is exact, and only a prefix whose count falls short
-reads its pivots off the forward pass, run once for all such prefixes.
+the prefix, and the others vanish there.  So `rank(rows, widths)` gives
+every prefix's rank from one mod-p elimination and at most one forward
+pass.  Each prefix is certified on its own: its mod-p pivot count is the
+rank mod p of the cut rows, which is at most their rank over Q, which is
+at most min(rows, columns below w); a count that meets that bound is
+exact, and only a prefix whose count falls short reads its pivots off the
+forward pass, run once for all such prefixes.
 
 The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
@@ -100,40 +99,6 @@ def _to_sparse_int_rows(rows):
         if ints:
             out.append(ints)
     return out
-
-
-def _structural_eliminate(rows):
-    """Peel off singleton rows: a row with a single nonzero entry pins its
-    column, and clearing that column in other rows is a pure entry deletion.
-    The rows are cleared in place.  Returns (the pinned columns in sorted
-    order, the remaining rows)."""
-    pinned = []
-    changed = True
-    while changed:
-        changed = False
-        keep = []
-        dead_cols = set()
-        for r in rows:
-            for c in dead_cols:
-                r.pop(c, None)
-            if not r:
-                continue
-            if len(r) == 1:
-                col = next(iter(r))
-                if col in dead_cols:
-                    continue
-                dead_cols.add(col)
-                pinned.append(col)
-                changed = True
-            else:
-                keep.append(r)
-        if dead_cols:
-            for r in keep:
-                for c in dead_cols:
-                    r.pop(c, None)
-            keep = [r for r in keep if r]
-        rows = keep
-    return sorted(pinned), rows
 
 
 def _rank_mod(rows):
@@ -244,27 +209,26 @@ def _below(keys, width):
 def rank(rows, widths=None):
     """Exact rank of a matrix with int or Fraction entries, given as dict
     rows (sparse, col -> value) or dense sequences and made sparse integer
-    rows: the structural peel, then the packed mod-p rank, then the pivot
-    count of `echelon`'s forward pass when the mod-p rank falls short of
-    min(rows, cols).
+    rows: the packed mod-p rank, then the pivot count of `echelon`'s
+    forward pass when the mod-p rank falls short of min(rows, cols).
 
     Given a list of widths, returns instead the exact rank of each column
-    prefix, the columns c < w for each w in widths: its pinned columns plus
-    its pivots, mod p where they meet the prefix's bound, otherwise those
-    of one forward pass that all the short prefixes share.
+    prefix, the columns c < w for each w in widths: its mod-p pivots where
+    they meet the prefix's bound, otherwise those of one forward pass that
+    all the short prefixes share.
     """
-    pinned, rest = _structural_eliminate(_to_sparse_int_rows(rows))
-    pivots = _rank_mod(rest) if rest else []
-    cols = sorted(set().union(*rest))
+    rows = _to_sparse_int_rows(rows)
+    pivots = _rank_mod(rows)
+    cols = sorted(set().union(*rows))
     exact = None
     out = []
     for w in [None] if widths is None else widths:
         have = _below(pivots, w)
-        if have < min(len(rest), _below(cols, w)):
+        if have < min(len(rows), _below(cols, w)):
             if exact is None:
-                exact = _rank_bareiss(rest)
+                exact = _rank_bareiss(rows)
             have = _below(exact, w)
-        out.append(_below(pinned, w) + have)
+        out.append(have)
     return out[0] if widths is None else out
 
 

@@ -216,12 +216,12 @@ def _walk(ec, state, den, bounds, divisor):
                                       divisor(k, state), bounds[k + 1])
 
 
-def _emit_conditions(ec, init_state, den):
+def _emit_conditions(ec, init_state):
     """Run the pipeline and collect one normalized integer row per condition
     (point k, local monomial of degree < m_k), in walk order."""
     mults = ec.mults
     rows = []
-    for k, state, _ in _walk(ec, init_state, den, track_bounds(mults),
+    for k, state, _ in _walk(ec, init_state, 1, track_bounds(mults),
                              lambda k, _: mults[k]):
         for e in monomials(mults[k] - 1):
             vec = state.get(e)
@@ -270,7 +270,7 @@ def local_conditions(ec, max_deg=None):
                          % (max_deg, need))
     idx = monomial_index(max_deg)
     init = {e: {i: 1} for e, i in idx.items()}
-    emitted = _emit_conditions(ec, init, 1)
+    emitted = _emit_conditions(ec, init)
     labels = tuple((k, e) for k, e, _ in emitted)
     rows = tuple(vec for _, _, vec in emitted)
     return LocalConditionSystem(max_deg, labels, rows, len(idx))
@@ -476,7 +476,8 @@ def sandwiched_ideal_point(ec, m1, i, j, I):
     if ec.r != r:
         raise ValueError("cluster has %d points, need i+j+1 = %d" % (ec.r, r))
     s = 2
-    while matches_stratum(ec.weighted.cluster, s + 1):
+    # U_s and U_{s+1} agree on r points once s >= r
+    while s < r and matches_stratum(ec.weighted.cluster, s + 1):
         s += 1
     if not matches_stratum(ec.weighted.cluster, s):
         raise ValueError("cluster is not in a U_s pattern")

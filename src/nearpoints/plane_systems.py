@@ -64,11 +64,10 @@ class GlobalConditionMatrix:
 def _translated_columns(ec, d, bound):
     """Initial pipeline state for a degree-d curve at this component: local
     monomials of degree < bound -> sparse row over global monomial columns.
-    Returns (state, denominator).
 
     The state is integral: with base and shear over the common denominator D,
-    column X^a Y^b carries D^d X^a Y^b = D^(d-a-b) (D^(a+b) X^a Y^b), and the
-    denominator is D^d."""
+    column X^a Y^b carries D^d X^a Y^b = D^(d-a-b) (D^(a+b) X^a Y^b); the
+    common factor D^d goes when each condition row is made primitive."""
     D, images = translated_monomials(ec.base[0], ec.base[1], ec.shear, d,
                                      bound)
     state = {}
@@ -76,7 +75,7 @@ def _translated_columns(ec, d, bound):
         scale = D ** (d - a - b)
         for e, v in images[(a, b)].items():
             state.setdefault(e, {})[col] = v * scale
-    return state, D ** d
+    return state
 
 
 def condition_matrix(Z, d):
@@ -88,8 +87,8 @@ def condition_matrix(Z, d):
     labels = []
     for ci, ec in enumerate(Z.components):
         bound = track_bounds(ec.mults)[0] if ec.r else 0
-        state, den = _translated_columns(ec, d, bound)
-        for k, e, vec in _emit_conditions(ec, state, den):
+        state = _translated_columns(ec, d, bound)
+        for k, e, vec in _emit_conditions(ec, state):
             rows.append(vec)
             labels.append((ci, k, e))
     return GlobalConditionMatrix(d, tuple(rows), tuple(labels), ncols)
@@ -187,12 +186,11 @@ def max_rank_generic(mult_systems, seed, height=DEFAULT_HEIGHT):
     if rep2["detail"] == rep1["detail"]:
         rep1["flagged"] = False
         return rep1
-    merged = {"ok": rep2["ok"], "length": rep1["length"],
-              "degrees": rep1["degrees"], "flagged": True,
-              "detail": [d1 if d1["defect"] < d2["defect"] else d2
-                         for d1, d2 in zip(rep1["detail"], rep2["detail"])]}
-    merged["ok"] = all(d["verdict"] == "ok" for d in merged["detail"])
-    return merged
+    detail = [d1 if d1["defect"] < d2["defect"] else d2
+              for d1, d2 in zip(rep1["detail"], rep2["detail"])]
+    return {"ok": all(d["verdict"] == "ok" for d in detail),
+            "length": rep1["length"], "degrees": rep1["degrees"],
+            "flagged": True, "detail": detail}
 
 
 EXCEPTION_SYSTEMS = (

@@ -169,6 +169,8 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     The curve is the kernel vector with seeded integer free entries, drawn
     again while all are 0; each echelon row gives its pivot entry.  Returns
     (PlaneCurve, SchemeUnion)."""
+    if not spec.tacnodes and not spec.cusps:
+        raise ValueError("no tacnode or cusp prescribed")
     if d < degree_bound(spec.weight):
         raise ValueError("degree %d below the bound %d"
                          % (d, degree_bound(spec.weight)))

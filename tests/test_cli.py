@@ -241,7 +241,10 @@ def test_height_below_one_is_an_error(capsys, argv):
     (["synthesize", "--cusps", "1,1,"], "synthesize",
      "argument --cusps: invalid _int_list value: '1,1,'"),
     (["experiment", "semicontinuity", "--mults", ","], "experiment",
-     "argument --mults: invalid _int_list value: ','")])
+     "argument --mults: invalid _int_list value: ','"),
+    # nothing to synthesize, also when --degree skips the weight check
+    (["synthesize", "--degree", "2"], "synthesize",
+     "no tacnode or cusp prescribed")])
 def test_usage_error_is_an_error_report(capsys, argv, command, message):
     # no usage text on stderr and no SystemExit: the JSON error report,
     # also when --format text was asked for, since parsing did not finish

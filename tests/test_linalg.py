@@ -191,19 +191,25 @@ def test_prefix_ranks_match_truncated_matrices(m, n, data):
     # for every width 0..n in shuffled order: rows of a product B @ C whose
     # inner dimension k falls below both sides, so the wide prefixes fall
     # short of their bound and share one forward pass; some zero entries
-    # stored, and some singleton rows for the structural peel
-    k = data.draw(st.integers(0, min(m, n) - 1))
-    entries = st.integers(-9, 9)
-    B = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
-                           min_size=m, max_size=m))
-    C = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                           min_size=k, max_size=k))
-    rows = [{j: v for j in range(n)
-             if (v := sum(B[i][t] * C[t][j] for t in range(k)))
-             or data.draw(st.booleans())}
-            for i in range(m)]
-    rows += [{j: v} for j, v in data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=2))]
+    # stored, and a few singleton rows mixed in.  Or a matrix of singleton
+    # rows only, some on one column, some a stored zero, some empty
+    singleton = st.tuples(st.integers(0, n - 1), st.integers(-3, 3))
+    if data.draw(st.booleans()):
+        rows = [dict(e) for e in data.draw(st.lists(
+            st.lists(singleton, max_size=1), max_size=2 * m))]
+    else:
+        k = data.draw(st.integers(0, min(m, n) - 1))
+        entries = st.integers(-9, 9)
+        B = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                               min_size=m, max_size=m))
+        C = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+        rows = [{j: v for j in range(n)
+                 if (v := sum(B[i][t] * C[t][j] for t in range(k)))
+                 or data.draw(st.booleans())}
+                for i in range(m)]
+        rows += [dict([e]) for e in data.draw(st.lists(singleton,
+                                                        max_size=2))]
     widths = data.draw(st.permutations(range(n + 1)))
     got = linalg.rank(rows, widths)
     for w, have in zip(widths, got):

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +342,41 @@ def test_sandwiched_ideal_point_rejects_non_strict():
         sandwiched_ideal_point(ec, m1, i, j, H_minus)
     with pytest.raises(ValueError):
         sandwiched_ideal_point(ec, m1, i, j, H_plus)
+
+
+SANDWICH_ON_A_SHORT_CHAIN = """
+import sys
+from fractions import Fraction
+from nearpoints.clusters import system, weighted_chain
+from nearpoints.local_algebra import (embed, ideal_subspace,
+                                      sandwiched_ideal_point)
+from nearpoints.sampling import rng_from
+extras = [None if x == "-" else int(x) for x in sys.argv[1].split(",")]
+m1, i, j = map(int, sys.argv[2:])
+ec = embed(weighted_chain(extras, system(m1, i, j)),
+           rng=rng_from(0, "short-chain"), height=10)
+trunc = sum(m * (m + 1) // 2 for m in system(m1, i + 1, j - 1)) + 1
+I = ideal_subspace(ec.extend_free(Fraction(2)).with_mults(
+    system(m1, i, j + 1)), trunc)
+print(*sandwiched_ideal_point(ec, m1, i, j, I))
+"""
+
+
+@pytest.mark.parametrize("extras, m1, i, j", [
+    ("-,-", 3, 0, 1),     # two points: U_s matches for every s >= 2
+    ("-,-,0", 3, 1, 1),   # U_3 on three points: so does every U_s, s >= 3
+])
+def test_sandwiched_ideal_point_on_a_chain_every_long_stratum_matches(
+        extras, m1, i, j):
+    # U_s and U_{s+1} put the same proximities on r points once s >= r; the
+    # stratum search stops there instead of looping (hence the timeout)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", SANDWICH_ON_A_SHORT_CHAIN,
+                           extras, str(m1), str(i), str(j)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["free", "2"]
 
 
 # Reference: the blowup substitution written out over Fractions, as the

@@ -329,9 +329,8 @@ def fraction_translated_columns(ec, d, bound):
     for vec in state_frac.values():
         for v in vec.values():
             den = den * v.denominator // gcd(den, v.denominator)
-    state = {e: {c: int(v * den) for c, v in vec.items()}
-             for e, vec in state_frac.items()}
-    return state, den
+    return {e: {c: int(v * den) for c, v in vec.items()}
+            for e, vec in state_frac.items()}
 
 
 @st.composite
@@ -365,8 +364,8 @@ def test_condition_matrix_matches_fraction_oracle(Z, d):
     rows, labels = [], []
     for ci, ec in enumerate(Z.components):
         bound = track_bounds(ec.mults)[0] if ec.r else 0
-        state, den = fraction_translated_columns(ec, d, bound)
-        for k, e, vec in _emit_conditions(ec, state, den):
+        state = fraction_translated_columns(ec, d, bound)
+        for k, e, vec in _emit_conditions(ec, state):
             rows.append(vec)
             labels.append((ci, k, e))
     assert mat.rows == tuple(rows)
