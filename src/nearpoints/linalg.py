@@ -13,8 +13,8 @@ minor mod p is nonzero over Q, so the rank mod p never exceeds the rank
 over Q, which never exceeds min(rows, cols).  A mod-p rank that reaches
 that bound (full row rank, or full column rank of a tall matrix) is exact;
 only a matrix whose mod-p rank falls short of it, which includes every
-rank-deficient one, is counted exactly by the forward pass of `echelon`,
-the one exact elimination in the package.
+rank-deficient one, is counted exactly by `forward`, the one exact
+elimination in the package.
 
 Both eliminations walk the columns in key order, so each returns its pivot
 columns, and the rank of a column prefix (the columns c < w) is the number
@@ -46,12 +46,15 @@ slot stays below 2^(124 + bit_length(n)) <= 2^w and never carries into its
 neighbour.  The packed rows are therefore the rows of the plain elimination
 mod p, slot for slot up to multiples of p, and the rank is the GF(p) rank.
 
-The canonical form of a row space is `echelon`: integer Gauss-Jordan on
-sparse primitive rows (content 1), returning sparse integer rows, each the
-reduced echelon row times the lcm of its denominators.  Row spaces compare
-by equality of their echelon forms, and `kernel` reads a sparse kernel
-basis off one.  `rref` and `nullspace` are dense Fraction renderings of
-these two.
+`forward` is the forward pass of integer Gauss-Jordan on sparse primitive
+rows (content 1): one primitive row per pivot column, reduced against the
+pivot rows before it but not cleared above.  That is all a rank or a
+solution for given free entries needs.  The canonical form of a row space
+is `echelon`, which finishes the pass: sparse integer rows, each the reduced
+echelon row times the lcm of its denominators.  Row spaces compare by
+equality of their echelon forms, and `kernel` reads a sparse kernel basis
+off one.  `rref` and `nullspace` are dense Fraction renderings of these
+two.
 """
 
 import struct
@@ -174,14 +177,14 @@ def _eliminate(row, prow, col):
     return primitive(out)
 
 
-def _forward(rows):
-    """The forward pass of integer Gauss-Jordan over zero-free sparse
-    integer rows: each row, made primitive, is reduced against the pivot
-    rows found so far in leading-column order.  Returns {pivot column:
-    primitive integer row leading there}; the number of pivots is the rank
-    over Q."""
+def forward(rows):
+    """The forward pass of integer Gauss-Jordan: the rows (dicts or
+    sequences, int or Fraction entries) are made sparse integer rows, and
+    each, made primitive, is reduced against the pivot rows found so far in
+    leading-column order.  Returns {pivot column: primitive integer row
+    leading there}; the number of pivots is the rank over Q."""
     by_lead = {}
-    for row in rows:
+    for row in _to_sparse_int_rows(rows):
         row = primitive(row)
         while row:
             lead = min(row)
@@ -194,11 +197,10 @@ def _forward(rows):
 
 
 def _rank_bareiss(rows):
-    """Exact pivot columns over Q of zero-free sparse integer rows, sorted:
-    the pivots of `echelon`'s forward pass, as many as the rank.  It keeps
-    its name as the fallback that `rank` takes when the mod-p rank falls
-    short."""
-    return sorted(_forward(rows))
+    """Exact pivot columns over Q, sorted: the pivots of `forward`, as many
+    as the rank.  It keeps its name as the fallback that `rank` takes when
+    the mod-p rank falls short."""
+    return sorted(forward(rows))
 
 
 def _below(keys, width):
@@ -209,8 +211,8 @@ def _below(keys, width):
 def rank(rows, widths=None):
     """Exact rank of a matrix with int or Fraction entries, given as dict
     rows (sparse, col -> value) or dense sequences and made sparse integer
-    rows: the packed mod-p rank, then the pivot count of `echelon`'s
-    forward pass when the mod-p rank falls short of min(rows, cols).
+    rows: the packed mod-p rank, then the pivot count of `forward` when the
+    mod-p rank falls short of min(rows, cols).
 
     Given a list of widths, returns instead the exact rank of each column
     prefix, the columns c < w for each w in widths: its mod-p pivots where
@@ -236,7 +238,7 @@ def echelon(rows, ncols):
     """Canonical echelon form over Q, as sparse integer rows.
 
     rows may be dicts (sparse, col -> value) or sequences, with int or
-    Fraction entries.  `_forward` reduces each row against the pivot rows
+    Fraction entries.  `forward` reduces each row against the pivot rows
     found so far in leading-column order, then every pivot column is
     cleared from the pivot rows above it.
 
@@ -245,7 +247,7 @@ def echelon(rows, ncols):
     primitive, positive at its pivot (its smallest column) and zero in every
     other pivot column.  Row spaces are equal iff their echelon forms are.
     """
-    by_lead = _forward(_to_sparse_int_rows(rows))
+    by_lead = forward(rows)
     pivots = sorted(by_lead)
     # last pivot first: the pivot row used to clear a column has already
     # lost its entries in every later pivot column, so none comes back

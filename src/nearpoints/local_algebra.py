@@ -475,11 +475,9 @@ def sandwiched_ideal_point(ec, m1, i, j, I):
     r = i + j + 1
     if ec.r != r:
         raise ValueError("cluster has %d points, need i+j+1 = %d" % (ec.r, r))
-    s = 2
     # U_s and U_{s+1} agree on r points once s >= r
-    while s < r and matches_stratum(ec.weighted.cluster, s + 1):
-        s += 1
-    if not matches_stratum(ec.weighted.cluster, s):
+    if not any(matches_stratum(ec.weighted.cluster, s)
+               for s in range(2, r + 1)):
         raise ValueError("cluster is not in a U_s pattern")
     if j < 1:
         raise ValueError("need j >= 1")

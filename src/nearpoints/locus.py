@@ -166,7 +166,9 @@ def tjurina_certificate(coeffs, s):
     h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves
     tau(C) <= s.  The degrees tried run from max(s, d-1), where the matrix
     first has rows, to max(s, 3(d-2)), Dimca's stability bound for the
-    Jacobian algebra.
+    Jacobian algebra.  The matrix at degree t has 3 C(t-d+3, 2) rows, which
+    bound its rank; a degree where C(t+2, 2) minus that count exceeds s
+    cannot give h_p(t) <= s, and is skipped without taking the rank.
 
     When the curve is known to carry singular points whose Tjurina numbers
     sum to s, a pass proves that they are all of its singular points.
@@ -180,6 +182,10 @@ def tjurina_certificate(coeffs, s):
               if d - a - b})
     for t in range(max(s, d - 1), max(s, 3 * (d - 2)) + 1):
         e = t - d + 1
+        # the rank is at most the 3 C(e+2, 2) rows, so h > s whatever it is:
+        # the same verdict as taking it, without the elimination
+        if (t + 1) * (t + 2) // 2 - 3 * (e + 1) * (e + 2) // 2 > s:
+            continue
         rows = [{(i + u, j + v): c for (i, j), c in g.items()}
                 for u in range(e + 1) for v in range(e + 1 - u)
                 for g in grads]

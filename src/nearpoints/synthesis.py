@@ -17,6 +17,7 @@ resultant locus.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .clusters import WeightedCluster, free_chain, single_chain
 from .local_algebra import embed, strict_transforms, to_local
@@ -161,14 +162,20 @@ def _spec_union(spec, seed, height):
 
 def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     """Draw an exact degree-d curve through a general-position realization
-    of the singularity schemes from one echelon form per attempt of the
-    degree-d condition matrix.  Its pivots below d(d+1)/2 count the rank in
-    degree d-1, which must be the union's length (the genericity hypothesis
-    that makes the general member irreducible and exactly as singular as
-    prescribed); one resample is attempted if the seeded draw misses it.
+    of the singularity schemes from one forward pass (`linalg.forward`) per
+    attempt of the degree-d condition matrix.  Its pivots below d(d+1)/2
+    count the rank in degree d-1, which must be the union's length (the
+    genericity hypothesis that makes the general member irreducible and
+    exactly as singular as prescribed); one resample is attempted if the
+    seeded draw misses it.
+
     The curve is the kernel vector with seeded integer free entries, drawn
-    again while all are 0; each echelon row gives its pivot entry.  Returns
-    (PlaneCurve, SchemeUnion)."""
+    again while all are 0.  The pivot entries are solved over Z by back
+    substitution, last pivot first: each pivot row gives its entry as a
+    quotient, and the solved entries are scaled by its denominator when that
+    is not 1.  The integer vector is a nonzero multiple of the rational
+    solution, so its primitive form is the same curve.  Returns (PlaneCurve,
+    SchemeUnion)."""
     if not spec.tacnodes and not spec.cusps:
         raise ValueError("no tacnode or cusp prescribed")
     if d < degree_bound(spec.weight):
@@ -178,8 +185,8 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     for attempt in (0, 1):
         union = _spec_union(spec, seed + 1000003 * attempt, height)
         mat = condition_matrix(union, d)
-        ech = linalg.echelon(mat.rows, mat.ncols)
-        pivots = [min(row) for row in ech]
+        by_lead = linalg.forward(mat.rows)
+        pivots = sorted(by_lead)
         if sum(pc < d * (d + 1) // 2 for pc in pivots) != union.total_length:
             last_err = ("conditions dependent in degree %d (attempt %d)"
                         % (d - 1, attempt))
@@ -191,9 +198,16 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
         vec = dict.fromkeys(free, 0)
         while not any(vec.values()):
             vec = {f: rng.randint(-height, height) for f in free}
-        for row, pc in zip(ech, pivots):
-            vec[pc] = Fraction(-sum(v * vec[c] for c, v in row.items()
-                                    if c != pc), row[pc])
+        # last pivot first: a pivot row's other columns are free or later
+        # pivots, already solved; the vector is kept integral by scaling
+        for pc in reversed(pivots):
+            row = by_lead[pc]
+            num = -sum(v * vec[c] for c, v in row.items() if c != pc)
+            g = gcd(num, row[pc])
+            scale = row[pc] // g
+            if scale != 1:
+                vec = {c: scale * v for c, v in vec.items()}
+            vec[pc] = num // g
         mons = monomials(d)
         coeffs = p_primitive({mons[i]: vec[i] for i in sorted(vec) if vec[i]})
         return PlaneCurve(d, coeffs), union

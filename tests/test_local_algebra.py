@@ -302,6 +302,17 @@ def test_sandwiched_ideal_point_roundtrip():
     assert q == ("satellite", ec.r - 2)
 
 
+def test_sandwiched_ideal_point_on_a_u4_chain():
+    # extras (None, None, 0, 0) match U_4 but neither U_2 nor U_3
+    m1, i, j = 5, 1, 2
+    ec = _us_embedding(4, system(m1, i, j), 5)
+    assert ec.extras == (None, None, 0, 0)
+    trunc = sum(m * (m + 1) // 2 for m in system(m1, i + 1, j - 1)) + 1
+    ext = ec.extend_free(Fraction(3, 7))
+    I = ideal_subspace(ext.with_mults(system(m1, i, j + 1)), trunc)
+    assert sandwiched_ideal_point(ec, m1, i, j, I) == ("free", Fraction(3, 7))
+
+
 def test_sandwiched_ideal_point_from_ideal_closure():
     # build the middle ideal bottom-up: the larger scheme's ideal plus all
     # truncated multiples of one germ picked from the gap

@@ -11,13 +11,14 @@ curves whose given singular points carry at least the claimed Tjurina
 numbers, a pass must mean that the locus is exactly those points.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nearpoints import locus
+from nearpoints import linalg, locus
 from nearpoints.polyops import p_min_deg, p_translate
 from nearpoints.synthesis import PlaneCurve
 
@@ -379,6 +380,34 @@ def test_locus_matches_oracle(curve):
 
 # ------------------------------------------------- Tjurina-count certificate
 
+# Reference: the Tjurina scan as it ran before it skipped the degrees whose
+# Macaulay matrix has too few rows to pass, taking a rank at every degree.
+
+def scan_every_degree(coeffs, s):
+    ints = linalg.integral(coeffs)[0]
+    d = max((a + b for (a, b) in ints), default=-1)
+    grads = ({(a - 1, b): a * c for (a, b), c in ints.items() if a},
+             {(a, b - 1): b * c for (a, b), c in ints.items() if b},
+             {(a, b): (d - a - b) * c for (a, b), c in ints.items()
+              if d - a - b})
+    for t in range(max(s, d - 1), max(s, 3 * (d - 2)) + 1):
+        e = t - d + 1
+        rows = [{(i + u, j + v): c for (i, j), c in g.items()}
+                for u in range(e + 1) for v in range(e + 1 - u)
+                for g in grads]
+        h = (t + 1) * (t + 2) // 2 - len(linalg._rank_mod(rows))
+        if h <= s:
+            return h == s
+    return False
+
+
+def certified(coeffs, s):
+    """The Tjurina certificate, checked against the every-degree scan."""
+    got = locus.tjurina_certificate(coeffs, s)
+    assert got == scan_every_degree(coeffs, s), (coeffs, s)
+    return got
+
+
 def locus_is_exactly(curve, points):
     """Does the resultant locus return exactly these affine points, with
     nothing unlocated and nothing at infinity?"""
@@ -503,14 +532,14 @@ def test_tjurina_certificate_positives():
     lines = [{(1, 0): 1, (0, 1): 0, (0, 0): 0}, {(1, 0): 0, (0, 1): 1},
              {(1, 0): 1, (0, 1): 1, (0, 0): -1},
              {(1, 0): 1, (0, 1): -2, (0, 0): 3}]
-    assert locus.tjurina_certificate(curve_of(*lines).coeffs, 6)
+    assert certified(curve_of(*lines).coeffs, 6)
     # a parabola and two secants: 2 + 2 + 1
     para = lambda t: (Fraction(t), Fraction(t * t))
     curve = curve_of({(0, 1): 1, (2, 0): -1}, secant(para(0), para(1)),
                      secant(para(-1), para(2)))
-    assert locus.tjurina_certificate(curve.coeffs, 5)
+    assert certified(curve.coeffs, 5)
     # a line is smooth
-    assert locus.tjurina_certificate({(1, 0): 1, (0, 0): 2}, 0)
+    assert certified({(1, 0): 1, (0, 0): 2}, 0)
 
 
 def test_tjurina_certificate_negatives():
@@ -518,13 +547,49 @@ def test_tjurina_certificate_negatives():
     from nearpoints.synthesis import synthesize
     spec = PIPELINE_SPECS[0]
     quartic, _ = synthesize(spec, 4, seed=31000)
-    assert locus.tjurina_certificate(quartic.coeffs, spec.tjurina)
+    assert certified(quartic.coeffs, spec.tjurina)
     # one of its three nodes left out of s
-    assert not locus.tjurina_certificate(quartic.coeffs, spec.tjurina - 1)
+    assert not certified(quartic.coeffs, spec.tjurina - 1)
     # not reduced: h_p grows without bound
-    assert not locus.tjurina_certificate(
+    assert not certified(
         curve_of({(0, 1): 1, (2, 0): -1}, {(0, 1): 1, (2, 0): -1}).coeffs, 3)
     # singular only at (0:1:0)
-    assert not locus.tjurina_certificate({(2, 1): 1, (0, 0): -1}, 0)
+    assert not certified({(2, 1): 1, (0, 0): -1}, 0)
     # the double line x^2: h_p(1) = 2, so only the t >= s guard rejects it
-    assert not locus.tjurina_certificate({(2, 0): 1}, 2)
+    assert not certified({(2, 0): 1}, 2)
+
+
+def test_tjurina_certificate_agrees_with_every_degree_scan():
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import min_degree, synthesize
+    for seed, spec in itertools.product((0, 1, 2), PIPELINE_SPECS):
+        curve, _ = synthesize(spec, min_degree(spec), seed=seed)
+        assert certified(curve.coeffs, spec.tjurina), (seed, spec)
+        if seed == 0:
+            # one short of the total scans every degree up to the bound
+            assert not certified(curve.coeffs, spec.tjurina - 1), spec
+
+
+def test_tjurina_certificate_rejects_a_sharp_quintic_below_its_total():
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import synthesize, verify_sharp
+    spec = PIPELINE_SPECS[7]
+    assert spec.cusps == (1, 1) and spec.tjurina == 4
+    curve, union = synthesize(spec, 5, seed=0)
+    # two sharp ordinary cusps: A_2 + A_2, so the true total is 4
+    assert all(verify_sharp(curve, ec).ok for ec in union.components)
+    assert not certified(curve.coeffs, spec.tjurina - 1)
+
+
+def test_tjurina_certificate_takes_one_rank_on_two_cusps(monkeypatch):
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import synthesize
+    spec = PIPELINE_SPECS[7]
+    curve, _ = synthesize(spec, 5, seed=0)
+    calls = []
+    rank_mod = linalg._rank_mod
+    monkeypatch.setattr(linalg, "_rank_mod",
+                        lambda rows: calls.append(len(rows)) or rank_mod(rows))
+    # d = 5, s = 4: t = 4..7 have fewer than C(t+2, 2) - 4 rows; t = 8 passes
+    assert locus.tjurina_certificate(curve.coeffs, spec.tjurina)
+    assert calls == [45]

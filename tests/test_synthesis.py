@@ -310,6 +310,15 @@ def test_synthesize_matches_the_dense_nullspace_draw():
             (seed, spec)
 
 
+def test_synthesize_matches_the_dense_nullspace_draw_at_degree_12():
+    # past the acceptance degrees: five A_7 tacnodes and an A_8 cusp
+    spec = SingularitySpec((4,) * 5, (4,))
+    curve, union = synthesize(spec, 12, seed=2)
+    want, want_union = dense_nullspace_synthesize(spec, 12, seed=2)
+    assert union == want_union
+    assert list(curve.coeffs.items()) == list(want.coeffs.items())
+
+
 # Reference: the Fraction Euclid that decided squarefreeness before the
 # Sylvester rank did.
 
