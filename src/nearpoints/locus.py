@@ -9,24 +9,21 @@ certificate has passed, which fixes each prescribed germ as an A_k point
 with Tjurina number k.  It runs one mod-p rank per degree and never touches
 sympy.
 
-`singular_locus` finds all singular points exactly, with no premise.
-Candidate x-coordinates come from resultant eliminants taken factor by factor
-of the curve, so no elimination is degenerate.  Every candidate is then
-checked against {C = C_x = C_y = 0}: a rational one by substitution, an
-irrational one by gcds over the field Q[x]/(q), so nothing spurious survives.
-The line at infinity is audited in the chart X = 1 and at the direction
-(0:1:0).
+`singular_locus` finds all singular points exactly, with no premise.  The
+synthesis pipeline reaches it only when an attempt fails a sharpness
+certificate or the Tjurina count.  It has one path: a squarefree gcd of the
+curve with its partials, then the curve's factorization.  Candidate
+x-coordinates come from resultant eliminants taken factor by factor, so no
+elimination is degenerate.  Every candidate is then checked against
+{C = C_x = C_y = 0}: a rational one by substitution, an irrational one by
+gcds over the field Q[x]/(q), so nothing spurious survives.  The line at
+infinity is audited in the chart X = 1 and at the direction (0:1:0).
 
 The resultant locus runs on sympy's sparse polynomial rings.  The curve, with
 its denominators cleared, lives in ZZ[y, x]; y is the first generator, so a
 resultant eliminates y.  Univariate work is done in ZZ[x], ZZ[y], QQ[x] and
 QQ[y], and the projective audit in ZZ[x, y, w].  A sympy expression is built only
 to print an eliminant or a repeated factor that reaches the output.
-
-Irreducibility is certified by one specialization when it can be: if F has
-trivial content in Q[x] and F(x0, y) is irreducible of the same y-degree,
-then F is irreducible, hence squarefree, and the bivariate factorization and
-the squarefree gcds are skipped.
 
 sympy is imported on the first call of `singular_locus`, not with the
 package.
@@ -37,10 +34,6 @@ from functools import lru_cache
 
 from . import linalg
 from .polyops import p_min_deg, p_translate, u_clean, u_diff
-
-# x0 values tried, in order, for the irreducibility specialization; the
-# first one that keeps deg_y decides
-_SPECIALIZATIONS = (0, 1, -1, 2, -2, 3)
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +53,6 @@ def _rational_roots(f):
     ring element; the factors are primitive with positive leading
     coefficient."""
     roots, others = [], []
-    if f.is_ground:
-        return roots, others
     for fac, _ in f.factor_list()[1]:
         if fac.degree() == 1:
             roots.append(-_fraction(fac.coeff(1)) / _fraction(fac.LC))
@@ -70,40 +61,11 @@ def _rational_roots(f):
     return roots, others
 
 
-def _y_columns(F):
-    """F in ZZ[y, x] as {b: dict of the x-polynomial multiplying y^b}."""
+def _ky_reduce(F, q):
+    """F in ZZ[y, x] -> y-coefficient list over the field Q[x]/(q)."""
     cols = {}
     for (b, a), c in F.items():
         cols.setdefault(b, {})[(a,)] = c
-    return cols
-
-
-def _is_irreducible(P):
-    """A sufficient test: P in ZZ[y, x] has trivial content in Q[x] and
-    P(x0, y) is irreducible for the first x0 that keeps deg_y."""
-    y, x = P.ring.gens
-    dy = P.degree(y)
-    if dy <= 0:
-        return False
-    Zx = _ring("x")
-    content = Zx.zero
-    for col in _y_columns(P).values():
-        content = content.gcd(Zx.from_dict(col))
-        if content.is_ground:
-            break
-    if not content.is_ground:
-        return False
-    for x0 in _SPECIALIZATIONS:
-        s = P.evaluate(x, x0)
-        if s.degree() == dy:
-            facs = s.factor_list()[1]
-            return len(facs) == 1 and facs[0][1] == 1
-    return False
-
-
-def _ky_reduce(F, q):
-    """F in ZZ[y, x] -> y-coefficient list over the field Q[x]/(q)."""
-    cols = _y_columns(F)
     Qx = q.ring
     return u_clean([Qx.from_dict(cols.get(b, {})).rem(q)
                     for b in range(max(F.degree(), 0) + 1)])
@@ -136,18 +98,13 @@ def _count_common_over(q, polys):
     is a root of the irreducible q (in QQ[x]): deg(q) times the number of
     distinct common y-roots over the extension field.  None when the common
     zero locus over q is not finite."""
-    g = None
+    g = []
     for F in polys:
-        red = _ky_reduce(F, q)
-        g = red if g is None else _ky_gcd(g, red, q)
-        if g == []:
-            continue
-        if len(g) == 1:
-            return 0
+        g = _ky_gcd(g, _ky_reduce(F, q), q)
     if not g:
         return None
     sq = _ky_gcd(g, u_diff(g), q)
-    distinct_y = (len(g) - 1) - (len(sq) - 1 if sq else 0)
+    distinct_y = len(g) - len(sq)
     return q.degree() * distinct_y
 
 
@@ -223,15 +180,12 @@ def singular_locus(C):
     Px = P.diff(x)
     Py = P.diff(y)
 
-    if _is_irreducible(P):
-        factors = [P]
-    else:
-        g = P.gcd(Px).gcd(P.gcd(Py))
-        if not g.is_ground:
-            raise ValueError(
-                "curve is not squarefree: repeated factor %s"
-                % _monic_text({(a, b): c for (b, a), c in g.items()}, "x,y"))
-        factors = [fac for fac, _ in P.factor_list()[1]]
+    g = P.gcd(Px).gcd(P.gcd(Py))
+    if not g.is_ground:
+        raise ValueError(
+            "curve is not squarefree: repeated factor %s"
+            % _monic_text({(a, b): c for (b, a), c in g.items()}, "x,y"))
+    factors = [fac for fac, _ in P.factor_list()[1]]
 
     xcands = set()
     irr_cands = set()
@@ -263,9 +217,8 @@ def singular_locus(C):
 
     points = []
     unlocated = []
-    if xcands:
-        Q2 = _ring("y,x", True)
-        PQ = [F.set_ring(Q2) for F in (P, Px, Py)]
+    Q2 = _ring("y,x", True)
+    PQ = [F.set_ring(Q2) for F in (P, Px, Py)]
     for x0 in sorted(xcands):
         at = [F.evaluate(Q2.gens[1], Q2.domain(x0.numerator, x0.denominator))
               for F in PQ]

@@ -86,7 +86,7 @@ def condition_matrix(Z, d):
     rows = []
     labels = []
     for ci, ec in enumerate(Z.components):
-        bound = track_bounds(ec.mults)[0] if ec.r else 0
+        bound = track_bounds(ec.mults)[0]
         state = _translated_columns(ec, d, bound)
         for k, e, vec in _emit_conditions(ec, state):
             rows.append(vec)
@@ -236,6 +236,8 @@ def us_consistent(s, m, i, j):
     """
     if m < 0:
         raise ValueError("negative head multiplicity")
+    if i < 0 or j < 0:
+        raise ValueError("negative count of double or simple points")
     mults = _head_system(m, i, j)
     if not mults:
         return True

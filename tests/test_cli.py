@@ -299,6 +299,13 @@ def test_experiment_limit_dimension(capsys):
     assert code == 0 and rep["results"]["ok"]
 
 
+def test_experiment_limit_dimension_negative_count_is_an_error(capsys):
+    code, rep = run_cli(capsys, "experiment", "limit-dimension",
+                        "--s", "2", "--i", "2", "--j", "-1", "--degree", "3")
+    assert code == 2 and rep["verdict"] == "error"
+    assert "negative count" in rep["error"] and "results" not in rep
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = main(["--out", str(path), "length", "--in", fixture("d7.json")])

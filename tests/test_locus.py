@@ -305,21 +305,16 @@ def test_affine_unlocated_cubic_eliminant():
         "infinity": [{"direction": (Fraction(0), Fraction(1))}]})
 
 
-def test_specialization_fallback(monkeypatch):
-    # y^2 = x^3 is irreducible, but at x0 = 0 it specializes to y^2, so the
-    # certificate falls back to the bivariate factorization
-    verdicts = []
-    test = locus._is_irreducible
-    monkeypatch.setattr(locus, "_is_irreducible",
-                        lambda P: verdicts.append(test(P)) or verdicts[-1])
+def test_cuspidal_cubics_and_integer_content():
+    # y^2 = x^3 has one singular point, the cusp (0, 0)
     got = same_as_oracle(PlaneCurve(3, {(0, 2): 1, (3, 0): -1}))
-    assert verdicts == [False]
     assert got == ("ok", EMPTY | {"affine": [
         {"point": (Fraction(0), Fraction(0)), "multiplicity": 2}]})
-    # y^2 = x^3 + 2 specializes at x0 = 0 to the irreducible y^2 - 2
-    verdicts.clear()
     same_as_oracle(PlaneCurve(3, {(0, 2): 1, (3, 0): -1, (0, 0): -2}))
-    assert verdicts == [True]
+    # the same smooth cubic with integer content 2: the factorization drops
+    # the content, which moves no root and no reported factor
+    got = same_as_oracle(PlaneCurve(3, {(0, 2): 2, (3, 0): -2, (0, 0): -4}))
+    assert got == ("ok", EMPTY)
 
 
 def test_rational_coefficients():

@@ -204,6 +204,16 @@ def test_level_split_tacnode():
     assert m_plus == (2, 2, 1, 1, 1, 1)
 
 
+def test_negative_counts_are_rejected():
+    # a negative i or j would become an empty run of 2s or 1s in the system
+    with pytest.raises(ValueError, match="negative count"):
+        us_consistent(2, 2, 2, -1)
+    with pytest.raises(ValueError, match="negative count"):
+        us_consistent(2, 2, -1, 2)
+    with pytest.raises(ValueError, match="negative count"):
+        level_split(2, 2, -3, 2)
+
+
 def test_level_split_lengths_and_containments():
     for (m, i, j, s) in [(2, 2, 0, 2), (3, 2, 1, 2), (4, 3, 2, 3),
                          (2, 1, 3, 2)]:
