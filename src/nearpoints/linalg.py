@@ -24,8 +24,10 @@ every prefix's rank from one mod-p elimination and at most one forward
 pass.  Each prefix is certified on its own: its mod-p pivot count is the
 rank mod p of the cut rows, which is at most their rank over Q, which is
 at most min(rows, columns below w); a count that meets that bound is
-exact, and only a prefix whose count falls short reads its pivots off the
-forward pass, run once for all such prefixes.
+exact.  Only a prefix whose count falls short reads its pivots off the
+forward pass, run once for all such prefixes, on the rows cut below the
+widest of them: a prefix's rank reads only its own columns, so no column
+at or past that width enters the exact elimination.
 
 The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
@@ -217,20 +219,25 @@ def rank(rows, widths=None):
     Given a list of widths, returns instead the exact rank of each column
     prefix, the columns c < w for each w in widths: its mod-p pivots where
     they meet the prefix's bound, otherwise those of one forward pass that
-    all the short prefixes share.
+    all the short prefixes share, on the columns below the widest of them.
     """
     rows = _to_sparse_int_rows(rows)
     pivots = _rank_mod(rows)
     cols = sorted(set().union(*rows))
-    exact = None
-    out = []
-    for w in [None] if widths is None else widths:
-        have = _below(pivots, w)
-        if have < min(len(rows), _below(cols, w)):
-            if exact is None:
-                exact = _rank_bareiss(rows)
-            have = _below(exact, w)
-        out.append(have)
+    bounds = [None] if widths is None else list(widths)
+    out = [_below(pivots, w) for w in bounds]
+    short = [i for i, w in enumerate(bounds)
+             if out[i] < min(len(rows), _below(cols, w))]
+    if short:
+        cut = [bounds[i] for i in short]
+        if None not in cut:
+            # a prefix's rank reads only its own columns
+            wide = max(cut)
+            rows = [{c: v for c, v in row.items() if c < wide}
+                    for row in rows]
+        exact = _rank_bareiss(rows)
+        for i in short:
+            out[i] = _below(exact, bounds[i])
     return out[0] if widths is None else out
 
 

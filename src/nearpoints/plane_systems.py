@@ -11,8 +11,14 @@ prefix c < (d+1)(d+2)/2 of the degree-e one, up to scaling each row.
 `monomials` lists the degree-d monomials first, every local row is cut at
 a bound set by the multiplicities alone, and the column of X^a Y^b carries
 D^(e-a-b), which is D^(e-d) times its factor in degree d; the common factor
-goes when the row is made primitive.  So `max_rank` builds one matrix, at
-its top degree, and reads every audited degree's rank off its prefixes.
+goes when the row is made primitive.  So the rank in degree d is the rank
+of a column prefix of any higher-degree matrix: it never falls as d grows,
+and it never passes the row count, which is the length L of the normalized
+union.  `max_rank` builds one matrix, at the first audited degree with more
+than L columns, and reads every audited degree up to it off its prefixes;
+full rank L there is full rank in every degree above, so no column past it
+is built.  Only a shortfall there (superabundance above the level floor)
+builds the matrix at the top audited degree as well.
 """
 
 from dataclasses import dataclass
@@ -78,11 +84,16 @@ def _translated_columns(ec, d, bound):
     return state
 
 
+def _ncols(d):
+    """Number of monomials of degree <= d: the columns in degree d."""
+    return (d + 1) * (d + 2) // 2
+
+
 def condition_matrix(Z, d):
     """Evaluation map of degree-d curves on the union, in coordinates."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    ncols = (d + 1) * (d + 2) // 2
+    ncols = _ncols(d)
     rows = []
     labels = []
     for ci, ec in enumerate(Z.components):
@@ -102,7 +113,7 @@ def ell(Z, d):
 
 
 def expected_dimension(Z, d):
-    return max(-1, (d + 1) * (d + 2) // 2 - 1 - Z.total_length)
+    return max(-1, _ncols(d) - 1 - Z.total_length)
 
 
 def level_floor(n):
@@ -122,6 +133,13 @@ def max_rank(Z, degrees=None):
     upward degree by degree, so the finite window decides the verdict.
     Pass degrees (an iterable) to audit any explicit set instead; an empty
     one is a ValueError, as there is nothing to give a verdict on.
+
+    The matrix is built at `first`, the smallest audited degree with more
+    columns than rows (the top degree when there is none), and its column
+    prefixes give the ranks up to it.  Full row rank at `first` is the rank
+    of every degree above it; a shortfall builds the top-degree matrix for
+    the degrees above `first`.  The expected dimension is read off the same
+    length, with no second unloading.
     """
     Zn = Z.normalized()
     L = Zn.total_length
@@ -133,18 +151,28 @@ def max_rank(Z, degrees=None):
         raise ValueError("no degree to audit")
     if min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
-    # one matrix at the top degree; each degree's rank is that of its
-    # column prefix (see the module docstring)
-    top = condition_matrix(Zn, max(degrees))
-    widths = [(d + 1) * (d + 2) // 2 for d in degrees]
+    # ranks never fall as d grows and never pass the row count (see the
+    # module docstring)
+    top = max(degrees)
+    first = min((d for d in degrees if _ncols(d) > L), default=top)
+    mat = condition_matrix(Zn, first)
+    low = [d for d in degrees if d <= first]
+    have = dict(zip(low, linalg.rank(mat.rows, [_ncols(d) for d in low])))
+    high = [d for d in degrees if d > first]
+    if have[first] == len(mat.rows):
+        have.update(dict.fromkeys(high, have[first]))
+    elif high:
+        # superabundant at `first`: the degrees above need their columns
+        mat = condition_matrix(Zn, top)
+        have.update(zip(high, linalg.rank(mat.rows,
+                                          [_ncols(d) for d in high])))
     detail = []
-    for d, ncols, have in zip(degrees, widths,
-                              linalg.rank(top.rows, widths)):
-        defect = min(ncols, L) - have
+    for d in degrees:
+        ncols = _ncols(d)
+        defect = min(ncols, L) - have[d]
         detail.append({"degree": d, "verdict": "defect" if defect else "ok",
-                       "defect": defect,
-                       "expected": expected_dimension(Zn, d),
-                       "actual": ncols - 1 - have})
+                       "defect": defect, "expected": max(-1, ncols - 1 - L),
+                       "actual": ncols - 1 - have[d]})
     return {"ok": not any(row["defect"] for row in detail), "length": L,
             "degrees": degrees, "detail": detail}
 

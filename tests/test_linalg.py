@@ -226,9 +226,18 @@ def test_prefix_ranks_take_one_forward_pass(monkeypatch):
     calls = []
     forward = linalg._rank_bareiss
     monkeypatch.setattr(linalg, "_rank_bareiss",
-                        lambda rows: calls.append(1) or forward(rows))
+                        lambda rows: calls.append(rows) or forward(rows))
     assert linalg.rank(rows, [1, 2, 3, 4, 0]) == [1, 1, 1, 2, 0]
     assert len(calls) == 1
+    # with two more columns the full width reaches full row rank mod p, so
+    # the exact pass sees only the columns below the widest short prefix
+    wide = [{**rows[0], 4: 1}, {**rows[1], 5: 1}, rows[2]]
+    for widths, ranks, cut in (([1, 2, 3, 6], [1, 1, 1, 3], 3),
+                               ([6, 4, 0, 2], [3, 2, 0, 1], 4)):
+        del calls[:]
+        assert linalg.rank(wide, widths) == ranks
+        assert len(calls) == 1
+        assert all(c < cut for row in calls[0] for c in row)
 
 
 # Reference: the dense Fraction Gauss-Jordan that rref was before it ran on

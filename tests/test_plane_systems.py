@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
                                       track_bounds)
-from nearpoints import linalg
+from nearpoints import linalg, plane_systems
 from nearpoints.linalg import integral
 from nearpoints.polyops import (monomials, p_clean, p_translate,
                                 translated_monomials, u_divide_out)
-from nearpoints.plane_systems import (SchemeUnion, condition_matrix, ell,
+from nearpoints.plane_systems import (EXCEPTION_SYSTEMS, SchemeUnion,
+                                      condition_matrix, ell,
                                       exception_catalog, expected_dimension,
                                       generic_union, level_floor, level_split,
                                       max_rank, max_rank_in_degree,
@@ -137,23 +138,62 @@ def per_degree_detail(Z, degrees):
     return detail
 
 
-def test_max_rank_matches_the_per_degree_audit():
+def _recording_builds(monkeypatch):
+    """Patch the condition_matrix that max_rank calls; return the list of
+    degrees it builds.  per_degree_detail keeps the unpatched function."""
+    built = []
+    monkeypatch.setattr(plane_systems, "condition_matrix",
+                        lambda Z, d: built.append(d) or condition_matrix(Z, d))
+    return built
+
+
+def _first_full(rep):
+    """The smallest audited degree with more columns than the length."""
+    over = [d for d in rep["degrees"] if (d + 1) * (d + 2) // 2 > rep["length"]]
+    return min(over, default=max(rep["degrees"]))
+
+
+def test_max_rank_matches_the_per_degree_audit(monkeypatch):
+    # default window: one matrix, at the first degree with more columns
+    # than rows, unless the rank falls short there; then also the top one
     from test_acceptance import _rang_parameter_sets
-    for trial, m, sum_i, sum_j, comps in _rang_parameter_sets(50):
-        Z = generic_union(comps, seed=trial)
-        rep = max_rank(Z)
-        assert rep["detail"] == per_degree_detail(Z, rep["degrees"]), comps
+    built = _recording_builds(monkeypatch)
+    # (union, degrees built, expected verdict or None when not asserted)
+    unions = [(generic_union(comps, seed=trial), 1, None)
+              for trial, m, sum_i, sum_j, comps in _rang_parameter_sets(50)]
     # the two exceptional families, defective at degrees 4 and 6
     families = ([[(2,)] * 5, [(2, 2, 2, 2, 2)], [(2, 2), (2,), (2,), (2,)]],
                 [[(4,)] + [(2,)] * 6, [(4, 2, 2), (2, 2), (2, 2)]])
-    for seed, family in zip((101, 102), families):
-        for comps in family:
-            Z = generic_union(comps, seed=seed)
-            rep = max_rank(Z)
-            assert not rep["ok"]
-            assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
-            full = max_rank(Z, range(9))
-            assert full["detail"] == per_degree_detail(Z, range(9))
+    unions += [(generic_union(comps, seed=seed), 1, False)
+               for seed, family in zip((101, 102), families)
+               for comps in family]
+    # the catalog; (3,2), (4,2) and (5,2) fall short above the level floor
+    unions += [(generic_union(systems,
+                              rng_from(0, label).randrange(2**32)),
+                2 if label in ("(3,2)", "(4,2)", "(5,2)") else 1, False)
+               for label, systems, _ in EXCEPTION_SYSTEMS]
+    for Z, nbuilds, ok in unions:
+        del built[:]
+        rep = max_rank(Z)
+        first = _first_full(rep)
+        assert first < max(rep["degrees"])
+        assert built == [first, max(rep["degrees"])][:nbuilds]
+        assert ok is None or rep["ok"] == ok
+        assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
+        full = max_rank(Z, range(9))
+        assert full["detail"] == per_degree_detail(Z, range(9))
+
+
+def test_max_rank_wide_window_builds_one_matrix(monkeypatch):
+    # five doubles reach full rank 15 in degree 5; no column past it is built
+    Z = generic_union([(2,)] * 5, 101)
+    built = _recording_builds(monkeypatch)
+    rep = max_rank(Z, range(60))
+    assert built == [5]
+    assert rep["detail"][:9] == per_degree_detail(Z, range(9))
+    for row in rep["detail"][9:]:
+        ncols = (row["degree"] + 1) * (row["degree"] + 2) // 2
+        assert row["defect"] == 0 and row["actual"] == ncols - 16
 
 
 def test_max_rank_exception_m4():
