@@ -14,13 +14,13 @@ from .clusters import (Cluster, WeightedCluster, excesses, free_chain,
                        proximity_matrix, render_enriques, single_chain,
                        system, us_chain, validate, weighted_chain)
 from .unloading import UnloadingTrace, equivalent, length, unload, unload_step
-from .local_algebra import (EmbeddedCluster, IdealSubspace,
-                            LocalConditionSystem, colength, colon_subspace,
-                            contains, embed, sandwiched_ideal_point, ideal_subspace,
+from .local_algebra import (ConditionMatrix, EmbeddedCluster, IdealSubspace,
+                            colength, colon_subspace, contains, embed,
+                            sandwiched_ideal_point, ideal_subspace,
                             local_conditions, multiplicities_along, to_local)
-from .plane_systems import (GlobalConditionMatrix, SchemeUnion,
-                            condition_matrix, ell, exception_catalog,
-                            expected_dimension, generic_union, level_split,
+from .plane_systems import (SchemeUnion, condition_matrix, ell,
+                            exception_catalog, expected_dimension,
+                            generic_union, level_split,
                             max_rank, max_rank_in_degree, max_rank_generic,
                             stratum_ell, us_consistent)
 from .synthesis import (PlaneCurve, SharpnessCertificate, SingularitySpec,

@@ -37,7 +37,7 @@ from math import comb
 
 from . import linalg
 from .clusters import (WeightedCluster, check_valid, matches_stratum,
-                       satellite_targets, system)
+                       satellite_targets, single_chain, system)
 from .polyops import (monomials, monomial_index, p_clean, p_min_deg,
                       p_translate, vector_of)
 from .sampling import DEFAULT_HEIGHT, rand_fraction
@@ -116,19 +116,17 @@ class EmbeddedCluster:
         exceptional divisor."""
         return satellite_targets(self.extras, self.r)
 
-    def extend_free(self, lam, mult=1):
-        extras = self.extras + (None,)
-        wc = WeightedCluster(
-            type(self.weighted.cluster)((extras,)), self.mults + (mult,))
+    def extend_free(self, lam):
+        wc = WeightedCluster(single_chain(self.extras + (None,)),
+                             self.mults + (1,))
         return EmbeddedCluster(wc, self.lambdas + (Fraction(lam),),
                                self.base, self.shear)
 
-    def extend_satellite(self, target, mult=1):
+    def extend_satellite(self, target):
         if target not in self.satellite_targets_for_next():
             raise ValueError("no satellite position over point %d here" % target)
-        extras = self.extras + (target,)
-        wc = WeightedCluster(
-            type(self.weighted.cluster)((extras,)), self.mults + (mult,))
+        wc = WeightedCluster(single_chain(self.extras + (target,)),
+                             self.mults + (1,))
         return EmbeddedCluster(wc, self.lambdas + (None,),
                                self.base, self.shear)
 
@@ -231,14 +229,17 @@ def _emit_conditions(ec, init_state):
 
 
 @dataclass(frozen=True)
-class LocalConditionSystem:
-    """Linear conditions, one row per (point, local monomial of degree below
-    the point's multiplicity), on the coefficients of a germ at the base
-    point (columns: monomials of total degree <= max_deg)."""
+class ConditionMatrix:
+    """Linear conditions on polynomials of degree <= max_deg: one sparse
+    integer row (col index -> value) per condition, over the columns
+    `monomials(max_deg)`.  `local_conditions` labels a row (point, local
+    monomial); `plane_systems.condition_matrix` labels it (component,
+    point, local monomial), and for one cluster based at the origin,
+    unsheared, it is the local matrix up to that index."""
 
     max_deg: int
-    labels: tuple           # (point index, local monomial) per row
-    rows: tuple             # sparse integer rows, col index -> value
+    labels: tuple
+    rows: tuple
     ncols: int
 
     def rank(self):
@@ -257,7 +258,8 @@ def required_truncation(mults):
 
 
 def local_conditions(ec, max_deg=None):
-    """Condition system of the embedded cluster.
+    """Condition matrix of the embedded cluster on germs at its base point,
+    rows labelled (point, local monomial).
 
     max_deg defaults to the minimal sound value; anything smaller than the
     per-step degree audit allows is rejected.
@@ -273,11 +275,11 @@ def local_conditions(ec, max_deg=None):
     emitted = _emit_conditions(ec, init)
     labels = tuple((k, e) for k, e, _ in emitted)
     rows = tuple(vec for _, _, vec in emitted)
-    return LocalConditionSystem(max_deg, labels, rows, len(idx))
+    return ConditionMatrix(max_deg, labels, rows, len(idx))
 
 
 def colength(ec):
-    """dim O / H for the embedded cluster: the rank of its condition system.
+    """dim O / H for the embedded cluster: the rank of its condition matrix.
     Depends only on the proximity structure and multiplicities."""
     return local_conditions(ec).rank()
 

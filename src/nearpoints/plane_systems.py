@@ -2,7 +2,7 @@
 
 Curves of degree d live in the affine chart as coefficient vectors over the
 monomials X^a Y^b, a+b <= d.  Each embedded cluster contributes the rows of
-its local condition system composed with the exact translation (and shear)
+its local condition matrix composed with the exact translation (and shear)
 into its frame; the resulting matrix is the evaluation map whose rank decides
 dimensions and maximal-rank verdicts.
 
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from . import linalg
 from .clusters import (WeightedCluster, free_chain, is_consistent, system,
                        us_chain)
-from .local_algebra import _emit_conditions, embed, track_bounds
+from .local_algebra import (ConditionMatrix, _emit_conditions, embed,
+                            track_bounds)
 from .polyops import monomials, translated_monomials
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 from .unloading import length, unload
@@ -56,17 +57,6 @@ class SchemeUnion:
             for ec in self.components))
 
 
-@dataclass(frozen=True)
-class GlobalConditionMatrix:
-    d: int
-    rows: tuple          # sparse integer rows over curve-coefficient columns
-    labels: tuple        # (component, point, local monomial) per row
-    ncols: int
-
-    def rank(self):
-        return linalg.rank(self.rows)
-
-
 def _translated_columns(ec, d, bound):
     """Initial pipeline state for a degree-d curve at this component: local
     monomials of degree < bound -> sparse row over global monomial columns.
@@ -90,7 +80,9 @@ def _ncols(d):
 
 
 def condition_matrix(Z, d):
-    """Evaluation map of degree-d curves on the union, in coordinates."""
+    """Evaluation map of degree-d curves on the union, in coordinates: a
+    `ConditionMatrix` with max_deg d, its rows labelled (component, point,
+    local monomial)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     ncols = _ncols(d)
@@ -102,7 +94,7 @@ def condition_matrix(Z, d):
         for k, e, vec in _emit_conditions(ec, state):
             rows.append(vec)
             labels.append((ci, k, e))
-    return GlobalConditionMatrix(d, tuple(rows), tuple(labels), ncols)
+    return ConditionMatrix(d, tuple(labels), tuple(rows), ncols)
 
 
 def ell(Z, d):

@@ -175,9 +175,13 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     quotient, and the solved entries are scaled by its denominator when that
     is not 1.  The integer vector is a nonzero multiple of the rational
     solution, so its primitive form is the same curve.  Returns (PlaneCurve,
-    SchemeUnion)."""
+    SchemeUnion).  A degree below 3 is a ValueError: every singular curve
+    of degree <= 2 is reducible."""
     if not spec.tacnodes and not spec.cusps:
         raise ValueError("no tacnode or cusp prescribed")
+    if d < 3:
+        raise ValueError("degree %d below 3: a singular curve of degree <= 2 "
+                         "is reducible (a singular conic is a line pair)" % d)
     if d < degree_bound(spec.weight):
         raise ValueError("degree %d below the bound %d"
                          % (d, degree_bound(spec.weight)))

@@ -9,7 +9,7 @@ import json
 import time
 from fractions import Fraction
 
-from conftest import fixture
+from conftest import fixture, random_weighted_chain
 from nearpoints.cli import main as cli_main
 from nearpoints.clusters import WeightedCluster, system, us_chain
 from nearpoints.local_algebra import (colength, colon_subspace, embed,
@@ -19,7 +19,7 @@ from nearpoints.plane_systems import (SchemeUnion, exception_catalog,
                                       level_floor, max_rank,
                                       max_rank_generic, stratum_ell,
                                       us_consistent)
-from nearpoints.sampling import random_weighted_chain, rng_from
+from nearpoints.sampling import rng_from
 from nearpoints.specialization import (limit_dimension_experiment,
                                        limit_identities_sweep,
                                        one_more_point_lengths,

@@ -244,7 +244,11 @@ def test_height_below_one_is_an_error(capsys, argv):
      "argument --mults: invalid _int_list value: ','"),
     # nothing to synthesize, also when --degree skips the weight check
     (["synthesize", "--degree", "2"], "synthesize",
-     "no tacnode or cusp prescribed")])
+     "no tacnode or cusp prescribed"),
+    # the weight bound admits a node at d = 2, but a singular conic is a
+    # line pair
+    (["synthesize", "--tacnodes", "1", "--degree", "2"], "synthesize",
+     "degree 2 below 3: a singular curve of degree <= 2 is reducible")])
 def test_usage_error_is_an_error_report(capsys, argv, command, message):
     # no usage text on stderr and no SystemExit: the JSON error report,
     # also when --format text was asked for, since parsing did not finish

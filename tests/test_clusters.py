@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_chain
 from nearpoints.clusters import (Cluster, WeightedCluster, excesses,
                                  free_chain, is_consistent, matches_stratum,
                                  parse_enriques, proximity_matrix,
                                  render_enriques, satellite_targets,
                                  single_chain, us_chain, validate,
                                  weighted_chain)
-from nearpoints.sampling import random_chain, rng_from
+from nearpoints.sampling import rng_from
 
 
 def test_validate_plain_chain():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_weighted_chain
 from nearpoints import linalg
 from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
                                  us_chain, weighted_chain)
@@ -20,7 +21,7 @@ from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
                                       strict_transforms, track_bounds)
 from nearpoints.polyops import (monomial_index, monomials, p_clean,
                                 p_min_deg)
-from nearpoints.sampling import random_weighted_chain, rng_from
+from nearpoints.sampling import rng_from
 from nearpoints.synthesis import cusp_scheme, dk_scheme, tacnode_scheme
 from nearpoints.unloading import length
 from test_linalg import dense_fraction_rref

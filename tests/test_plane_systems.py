@@ -1,11 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_weighted_chain
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
 from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
+                                      local_conditions, required_truncation,
                                       track_bounds)
 from nearpoints import linalg, plane_systems
 from nearpoints.linalg import integral
@@ -51,6 +54,20 @@ def test_condition_matrix_empty_union():
 def test_condition_matrix_rejects_negative_degree():
     with pytest.raises(ValueError):
         condition_matrix(SchemeUnion(()), -1)
+
+
+def test_local_conditions_are_the_plane_matrix_at_the_origin():
+    # one record for both: the plane matrix of one cluster based at the
+    # origin, unsheared, is its local condition matrix row for row
+    for seed in range(200):
+        rng = rng_from(seed, "origin-matrix")
+        ec = embed(random_weighted_chain(rng), rng=rng)
+        need = required_truncation(ec.mults)
+        for d in (need, need + 1, need + 3):
+            mat = condition_matrix(SchemeUnion((ec,)), d)
+            assert all(ci == 0 for ci, _, _ in mat.labels)
+            local = replace(mat, labels=tuple(lab[1:] for lab in mat.labels))
+            assert local == local_conditions(ec, d), (seed, d)
 
 
 def test_ell_two_doubles_conics():

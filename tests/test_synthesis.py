@@ -187,6 +187,13 @@ def test_synthesize_below_bound():
         synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 3, seed=8)
 
 
+def test_synthesize_rejects_degree_below_three():
+    # the bound admits one node at d = 2, but a singular conic is a line
+    # pair, so no certificate of irreducibility can hold
+    with pytest.raises(ValueError, match="degree 2 below 3"):
+        synthesize(SingularitySpec(tacnodes=(1,)), 2)
+
+
 def test_driver_three_tacnodes_sextic():
     rep = existence_driver(SingularitySpec(tacnodes=(2, 2, 2)), seed=5)
     assert rep["degree"] == 6

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_chain
 from nearpoints.clusters import (WeightedCluster, excesses, free_chain,
                                  proximate_to, single_chain, system,
                                  us_chain, weighted_chain)
-from nearpoints.sampling import random_chain, rng_from
+from nearpoints.sampling import rng_from
 from nearpoints.unloading import (equivalent, length, unload, unload_step)
 
 
