@@ -21,8 +21,8 @@ from .local_algebra import (ConditionMatrix, EmbeddedCluster, IdealSubspace,
 from .plane_systems import (SchemeUnion, condition_matrix, ell,
                             exception_catalog, expected_dimension,
                             generic_union, level_split,
-                            max_rank, max_rank_in_degree, max_rank_generic,
-                            stratum_ell, us_consistent)
+                            max_rank, max_rank_generic, stratum_ell,
+                            us_consistent)
 from .synthesis import (PlaneCurve, SharpnessCertificate, SingularitySpec,
                         cusp_scheme, dk_scheme, existence_driver,
                         min_degree, synthesize, tacnode_scheme, verify_sharp)

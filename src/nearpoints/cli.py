@@ -111,11 +111,15 @@ def build_parser():
 
 
 def _as_weighted(obj):
+    """The weighted cluster of a cluster file; an embedded union's chains
+    are merged in order, dropping their bases and lambdas."""
     if isinstance(obj, WeightedCluster):
         return obj
-    if isinstance(obj, SchemeUnion) and len(obj.components) == 1:
-        return obj.components[0].weighted
-    raise SchemaError("$", "expected a single weighted cluster")
+    if isinstance(obj, SchemeUnion):
+        chains = tuple(ec.weighted.cluster.chains[0] for ec in obj.components)
+        mults = tuple(m for ec in obj.components for m in ec.mults)
+        return WeightedCluster(Cluster(chains), mults)
+    raise SchemaError("$", "expected a cluster file")
 
 
 def _as_union(obj):
@@ -211,14 +215,7 @@ def run(args):
                                              height=height)
         return rep, "ok" if rep.get("ok") else "fail"
     if cmd == "render":
-        obj = parse_inputs(args.infile)
-        if isinstance(obj, SchemeUnion):
-            mults = tuple(m for ec in obj.components for m in ec.mults)
-            chains = tuple(ec.weighted.cluster.chains[0]
-                           for ec in obj.components)
-            wc = WeightedCluster(Cluster(chains), mults)
-        else:
-            wc = _as_weighted(obj)
+        wc = _as_weighted(parse_inputs(args.infile))
         return {"diagram": render_enriques(wc, args.style)}, "ok"
     raise SchemaError("$", "unknown command %r" % cmd)
 

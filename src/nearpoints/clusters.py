@@ -73,14 +73,14 @@ def free_chain(npoints):
     return single_chain((None,) * npoints)
 
 
-def us_chain(npoints, s, t=1):
-    """Chain in the open stratum U_{s,t}, with the classical 1-based labels:
-    point i is proximate to point t for s >= i > t and to its predecessor,
-    and there are no other proximities.  In the 0-based storage this puts
-    extra[k] = t-1 for k = t+1 .. s-1."""
+def us_chain(npoints, s):
+    """Chain in the open stratum U_s, with the classical 1-based labels:
+    every point is proximate to its predecessor, point i is also proximate
+    to the root point 1 for s >= i > 1, and there are no other proximities.
+    In the 0-based storage this puts extra[k] = 0 for k = 2 .. s-1."""
     extras = [None] * npoints
-    for k in range(t + 1, min(s, npoints)):
-        extras[k] = t - 1
+    for k in range(2, min(s, npoints)):
+        extras[k] = 0
     return single_chain(extras)
 
 
@@ -201,19 +201,18 @@ def proximate_to(cluster, j):
     return [a for a, b in cluster.proximities() if b == j]
 
 
-def matches_stratum(cluster, s, t=1):
+def matches_stratum(cluster, s):
     """True iff a single-chain cluster has exactly the proximities of the
-    open stratum U_{s,t}: each point to its predecessor, plus point i
-    proximate to point t for s >= i > t, and no others.
+    open stratum U_s: each point to its predecessor, plus point i proximate
+    to the root point 1 for s >= i > 1, and no others.
 
-    s and t use the classical 1-based labels (so U_s means t = 1);
-    cluster storage stays 0-based.
+    s uses the classical 1-based labels; cluster storage stays 0-based.
     """
     if cluster.root_count != 1:
         raise ValueError("stratum membership is defined for single chains")
     ch = cluster.chains[0]
     for k in range(len(ch)):
-        want = (t - 1) if (t + 1 <= k <= s - 1) else None
+        want = 0 if 2 <= k <= s - 1 else None
         if ch[k] != want:
             return False
     return True

@@ -1,4 +1,4 @@
-"""JSON schemas for clusters, unions, curves, and singularity lists.
+"""JSON schemas for clusters, unions and curves.
 
 Rationals travel as JSON integers or as exact ASCII strings "p" or "p/q"
 (an optional minus sign, decimal digits, no spaces, underscores or plus
@@ -21,8 +21,7 @@ WeightedCluster.  Either way the proximity structure is checked as the file
 is read: an extra_prox that no valid cluster allows is a SchemaError at
 that point's path.  Curve files carry {"degree": d, "coefficients":
 {"a,b": "p/q"}}, each key in canonical form (decimal exponents without
-leading zeros or spaces), so that no two keys name the same monomial;
-singularity lists carry {"tacnodes": [...], "cusps": [...]}.
+leading zeros or spaces), so that no two keys name the same monomial.
 """
 
 import json
@@ -34,7 +33,7 @@ from .clusters import Cluster, WeightedCluster, validate
 from .local_algebra import EmbeddedCluster
 from .plane_systems import SchemeUnion
 from .polyops import monomial_key
-from .synthesis import PlaneCurve, SingularitySpec
+from .synthesis import PlaneCurve
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -209,20 +208,6 @@ def parse_curve_data(data, path="$"):
     return PlaneCurve(d, coeffs)
 
 
-def parse_spec_data(data, path="$"):
-    _expect_object(data, path)
-    tac = data.get("tacnodes", [])
-    cusp = data.get("cusps", [])
-    for name, lst in (("tacnodes", tac), ("cusps", cusp)):
-        if not isinstance(lst, list) or any(not _is_int(v) for v in lst):
-            raise SchemaError("%s.%s" % (path, name),
-                              "expected a list of integers")
-    try:
-        return SingularitySpec(tuple(tac), tuple(cusp))
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
 def _unique_keys(pairs):
     """A JSON object as a dict; a repeated key is a ValueError."""
     obj = {}
@@ -235,8 +220,7 @@ def _unique_keys(pairs):
 
 def parse_inputs(path):
     """Load a JSON file and dispatch on its shape: cluster/union files have
-    "chains", curves have "degree"+"coefficients", singularity lists have
-    "tacnodes"/"cusps"."""
+    "chains", curves have "degree"+"coefficients"."""
     with open(path) as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
@@ -249,8 +233,6 @@ def parse_inputs(path):
         return parse_cluster_data(data)
     if "degree" in data and "coefficients" in data:
         return parse_curve_data(data)
-    if "tacnodes" in data or "cusps" in data:
-        return parse_spec_data(data)
     raise SchemaError("$", "unrecognized input shape")
 
 

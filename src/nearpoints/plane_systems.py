@@ -169,14 +169,6 @@ def max_rank(Z, degrees=None):
             "degrees": degrees, "detail": detail}
 
 
-def max_rank_in_degree(Z, d):
-    """('ok', 0) when the conditions have the largest possible rank in
-    degree d, else ('defect', k) with the shortfall: `max_rank` on the one
-    degree."""
-    defect = max_rank(Z, [d])["detail"][0]["defect"]
-    return ("defect", defect) if defect else ("ok", 0)
-
-
 def generic_union(mult_systems, seed, height=DEFAULT_HEIGHT):
     """Union of free-chain components with the given multiplicity tuples at
     seeded random distinct points with random direction parameters."""
@@ -192,25 +184,21 @@ def generic_union(mult_systems, seed, height=DEFAULT_HEIGHT):
 def max_rank_generic(mult_systems, seed, height=DEFAULT_HEIGHT):
     """max_rank on a seeded general-position realization.
 
-    A defect triggers one independent re-draw: if the two draws disagree the
-    report flags the configuration and keeps, per degree, the better rank
-    (the worse draw was non-generic).
+    A defect triggers one independent re-draw.  Per degree the report keeps
+    the entry with the smaller defect (the worse draw was non-generic), and
+    it flags the configuration when the two draws disagree.
     """
-    Z1 = generic_union(mult_systems, seed, height)
-    rep1 = max_rank(Z1)
-    if rep1["ok"]:
-        rep1["flagged"] = False
-        return rep1
-    Z2 = generic_union(mult_systems, seed + 0x9E3779B9, height)
-    rep2 = max_rank(Z2)
-    if rep2["detail"] == rep1["detail"]:
-        rep1["flagged"] = False
-        return rep1
-    detail = [d1 if d1["defect"] < d2["defect"] else d2
-              for d1, d2 in zip(rep1["detail"], rep2["detail"])]
-    return {"ok": all(d["verdict"] == "ok" for d in detail),
-            "length": rep1["length"], "degrees": rep1["degrees"],
-            "flagged": True, "detail": detail}
+    rep = max_rank(generic_union(mult_systems, seed, height))
+    flagged = False
+    if not rep["ok"]:
+        again = max_rank(generic_union(mult_systems, seed + 0x9E3779B9,
+                                       height))
+        flagged = again["detail"] != rep["detail"]
+        rep["detail"] = [min(d1, d2, key=lambda row: row["defect"])
+                         for d1, d2 in zip(rep["detail"], again["detail"])]
+        rep["ok"] = not any(row["defect"] for row in rep["detail"])
+    rep["flagged"] = flagged
+    return rep
 
 
 EXCEPTION_SYSTEMS = (
@@ -287,11 +275,11 @@ def level_split(m, i, j, s):
     return m_minus, m_plus, d, eps
 
 
-def stratum_embedding(s, mults, seed, base=(0, 0), height=DEFAULT_HEIGHT):
+def stratum_embedding(s, mults, seed, height=DEFAULT_HEIGHT):
     """Seeded generic embedding of a U_s cluster carrying the given system."""
     rng = rng_from(seed, "stratum", s, tuple(mults))
     wc = WeightedCluster(us_chain(len(mults), s), tuple(mults))
-    return embed(wc, rng=rng, base=base, height=height)
+    return embed(wc, rng=rng, height=height)
 
 
 def stratum_ell(s, mults, d, seed, height=DEFAULT_HEIGHT):

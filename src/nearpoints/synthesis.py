@@ -70,12 +70,9 @@ class PlaneCurve:
             raise ValueError("coefficient beyond the stated degree")
         object.__setattr__(self, "coeffs", cleaned)
 
-    def is_zero(self):
-        return not self.coeffs
 
-
-def tacnode_scheme(t, base=(0, 0), seed=0, rng=None, lambdas=None,
-                   height=DEFAULT_HEIGHT, shear=0):
+def tacnode_scheme(t, base=(0, 0), seed=0, rng=None, height=DEFAULT_HEIGHT,
+                   shear=0):
     """Chain of t free double points: the scheme cut out by a tacnode of
     order t (an A_{2t-1} singularity); length 3t."""
     if t < 1:
@@ -83,39 +80,32 @@ def tacnode_scheme(t, base=(0, 0), seed=0, rng=None, lambdas=None,
     if rng is None:
         rng = rng_from(seed, "tacnode", t, base)
     wc = WeightedCluster(free_chain(t), (2,) * t)
-    return embed(wc, lambdas=lambdas, base=base, rng=rng, height=height,
-                 shear=shear)
+    return embed(wc, base=base, rng=rng, height=height, shear=shear)
 
 
-def cusp_scheme(n, base=(0, 0), seed=0, rng=None, lambdas=None,
-                height=DEFAULT_HEIGHT, extended=True, shear=0):
-    """Cusp scheme of order n: n free double points, a free simple point,
-    a satellite simple point over the corner with the previous divisor and,
-    in the extended form used for interpolation, one more free simple point;
-    extended length 3(n+1)."""
+def cusp_scheme(n, base=(0, 0), seed=0, rng=None, height=DEFAULT_HEIGHT,
+                shear=0):
+    """Cusp scheme of order n in the extended form used for interpolation:
+    n free double points, a free simple point, a satellite simple point over
+    the corner with the previous divisor and one more free simple point on
+    the last exceptional divisor; length 3(n+1)."""
     if n < 1:
         raise ValueError("cusp order must be >= 1")
     if rng is None:
         rng = rng_from(seed, "cusp", n, base)
-    extras = [None] * (n + 1) + [n - 1]
-    mults = [2] * n + [1, 1]
-    if extended:
-        extras.append(None)  # free point on the last exceptional divisor
-        mults.append(1)
-    wc = WeightedCluster(single_chain(extras), tuple(mults))
-    return embed(wc, lambdas=lambdas, base=base, rng=rng, height=height,
-                 shear=shear)
+    extras = [None] * (n + 1) + [n - 1, None]
+    wc = WeightedCluster(single_chain(extras), (2,) * n + (1, 1, 1))
+    return embed(wc, base=base, rng=rng, height=height, shear=shear)
 
 
-def dk_scheme(k, base=(0, 0), seed=0, rng=None, lambdas=None,
-              height=DEFAULT_HEIGHT):
-    """Scheme of the infinitely near singular points of a D_k singularity:
-    (3, 2^{k/2-2}) on free points for even k; (3, 2^{r-3}, 1^2) with the
-    last point satellite, r = (k+1)/2, for odd k."""
+def dk_scheme(k, seed=0):
+    """Scheme of the infinitely near singular points of a D_k singularity,
+    based at the origin with seeded lambdas: (3, 2^{k/2-2}) on free points
+    for even k; (3, 2^{r-3}, 1^2) with the last point satellite,
+    r = (k+1)/2, for odd k."""
     if k < 4:
         raise ValueError("D_k needs k >= 4")
-    if rng is None:
-        rng = rng_from(seed, "dk", k, base)
+    rng = rng_from(seed, "dk", k, (0, 0))
     if k % 2 == 0:
         npts = k // 2 - 1
         wc = WeightedCluster(free_chain(npts), (3,) + (2,) * (npts - 1))
@@ -124,7 +114,7 @@ def dk_scheme(k, base=(0, 0), seed=0, rng=None, lambdas=None,
         extras = [None] * (r - 1) + [r - 3]
         wc = WeightedCluster(single_chain(extras),
                              (3,) + (2,) * (r - 3) + (1, 1))
-    return embed(wc, lambdas=lambdas, base=base, rng=rng, height=height)
+    return embed(wc, rng=rng)
 
 
 def degree_bound(M):
@@ -368,9 +358,6 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         if entry["ok"]:
             verdict = True
             break
-    not_single_point = not (len(union.components) == 1
-                            and union.components[0].r == 1
-                            and union.components[0].mults[0] == d + 1)
     return {
         "spec": {"tacnodes": list(spec.tacnodes), "cusps": list(spec.cusps)},
         "weight": spec.weight,
@@ -379,7 +366,8 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         "length_check": union.total_length == 3 * spec.weight,
         "irreducibility_hypotheses": {
             "independent_in_lower_degree": True,
-            "not_a_single_full_multiplicity_point": not_single_point,
+            # every component has root multiplicity 2 < d + 1, as d >= 3
+            "not_a_single_full_multiplicity_point": True,
         },
         "attempts": attempts,
         "verdict": "ok" if verdict else "fail",

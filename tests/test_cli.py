@@ -49,6 +49,27 @@ def test_length(capsys):
     assert rep["results"]["length"] == 20
 
 
+def test_cluster_commands_read_a_union_as_its_chains(capsys, tmp_path):
+    # an embedded union of two chains is the cluster of its chains in order:
+    # the bases and lambdas change no result
+    chains = [{"points": [{"kind": "root", "mult": 2},
+                          {"kind": "free", "mult": 2, "lambda": "1"}]},
+              {"points": [{"kind": "root", "mult": 2}]}]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"chains": chains}))
+    for chain, base in zip(chains, (["0", "0"], ["3", "4"])):
+        chain["base"] = base
+    union = tmp_path / "union.json"
+    union.write_text(json.dumps({"chains": chains}))
+    for command, *flags in (["length"], ["unload", "--trace"], ["render"]):
+        reports = [run_cli(capsys, command, "--in", str(path), *flags)
+                   for path in (plain, union)]
+        assert [code for code, _ in reports] == [0, 0], command
+        assert reports[0][1]["results"] == reports[1][1]["results"]
+        if command == "length":
+            assert reports[1][1]["results"]["length"] == 9
+
+
 def test_ell(capsys):
     code, rep = run_cli(capsys, "ell", "--in", fixture("tacnode_union.json"),
                         "--degree", "2")

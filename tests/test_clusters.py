@@ -66,11 +66,11 @@ def test_is_consistent():
 
 
 def test_matches_stratum():
-    assert matches_stratum(free_chain(4), 2, 1)
-    assert matches_stratum(single_chain([None, None, 0, None]), 3, 1)
-    assert not matches_stratum(single_chain([None, None, 0, 0]), 3, 1)
-    assert matches_stratum(single_chain([None, None, 0, 0]), 4, 1)
-    assert matches_stratum(us_chain(6, 4), 4, 1)
+    assert matches_stratum(free_chain(4), 2)
+    assert matches_stratum(single_chain([None, None, 0, None]), 3)
+    assert not matches_stratum(single_chain([None, None, 0, 0]), 3)
+    assert matches_stratum(single_chain([None, None, 0, 0]), 4)
+    assert matches_stratum(us_chain(6, 4), 4)
 
 
 def test_render_single_point():

@@ -22,7 +22,6 @@ from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
 from nearpoints.polyops import (monomial_index, monomials, p_clean,
                                 p_min_deg)
 from nearpoints.sampling import rng_from
-from nearpoints.synthesis import cusp_scheme, dk_scheme, tacnode_scheme
 from nearpoints.unloading import length
 from test_linalg import dense_fraction_rref
 from test_plane_systems import p_mul
@@ -51,13 +50,6 @@ def test_embed_rejects_a_lambda_tuple_of_the_wrong_length(rng):
             embed(wc, lambdas=lams, rng=rng)
     with pytest.raises(ValueError, match="free point 1 needs a lambda"):
         embed(wc, lambdas=(None, None, 2))
-
-
-def test_scheme_constructors_reject_a_short_lambda_tuple():
-    for make, order in ((tacnode_scheme, 3), (cusp_scheme, 2),
-                        (dk_scheme, 8)):
-        with pytest.raises(ValueError, match="one lambda slot per point"):
-            make(order, lambdas=(None,))
 
 
 def test_conditions_double_point():

@@ -1,8 +1,7 @@
 """Malformed input files, fuzzed: cluster files through `length`, `unload`
-and `render`, curve files through `verify --curve` and singularity lists
-through `length --in`.  Every one must be answered with exit status 2 and a
-structured error report whose error names a `$` path, never a traceback and
-never a silent acceptance."""
+and `render`, and curve files through `verify --curve`.  Every one must be
+answered with exit status 2 and a structured error report whose error names
+a `$` path, never a traceback and never a silent acceptance."""
 
 import contextlib
 import io
@@ -204,33 +203,6 @@ def test_malformed_curve_files_are_error_reports(doc):
                  "--union", fixture("tacnode_union.json"))
 
 
-@st.composite
-def malformed_spec_docs(draw):
-    """A singularity list with exactly one fault that makes it invalid."""
-    doc = {key: draw(st.lists(st.integers(1, 4), max_size=3))
-           for key in draw(st.sampled_from([["tacnodes"], ["cusps"],
-                                            ["tacnodes", "cusps"]]))}
-    key = draw(st.sampled_from(sorted(doc)))
-    fault = draw(st.sampled_from(["doc", "list", "entry", "order"]))
-    if fault == "doc":
-        return draw(not_objects)
-    if fault == "list":
-        doc[key] = draw(json_values.filter(lambda v: not isinstance(v, list)))
-    else:
-        bad = draw(not_ints if fault == "entry"
-                   else st.integers(max_value=0))
-        doc[key].insert(draw(st.integers(0, len(doc[key]))), bad)
-    return doc
-
-
-@settings(max_examples=100, deadline=None)
-@given(malformed_spec_docs())
-def test_malformed_singularity_lists_are_error_reports(doc):
-    # the list is refused as it is read, before `length` asks for a cluster
-    error = error_of_doc(doc, "length", "--in", "FILE")
-    assert "expected a single weighted cluster" not in error
-
-
 HUGE = "9" * 5000
 
 
@@ -244,8 +216,11 @@ HUGE = "9" * 5000
      "$: "),
     ('{"degree": 1, "coefficients": {"1,0": "1", "01,0": "2"}}', ("verify",),
      "$.coefficients['01,0']: "),
+    # a list of singularity orders is no input file
+    ('{"tacnodes": [2, 2, 2], "cusps": [1]}', ("length",),
+     "$: unrecognized input shape"),
 ], ids=["huge-int-in-cluster", "huge-int-in-curve", "repeated-key",
-        "second-spelling"])
+        "second-spelling", "singularity-list"])
 def test_unreadable_documents_are_schema_errors(text, argv, path):
     if argv == ("verify",):
         argv = ("verify", "--curve", "FILE",

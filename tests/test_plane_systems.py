@@ -18,8 +18,8 @@ from nearpoints.plane_systems import (EXCEPTION_SYSTEMS, SchemeUnion,
                                       condition_matrix, ell,
                                       exception_catalog, expected_dimension,
                                       generic_union, level_floor, level_split,
-                                      max_rank, max_rank_in_degree,
-                                      stratum_ell, us_consistent)
+                                      max_rank, max_rank_generic, stratum_ell,
+                                      us_consistent)
 from nearpoints.sampling import rng_from
 from nearpoints.unloading import length
 
@@ -92,14 +92,6 @@ def test_expected_dimension():
     assert expected_dimension(SchemeUnion(()), 1) == 2
 
 
-def test_max_rank_in_degree_examples():
-    assert max_rank_in_degree(generic_union([(2,)] * 3, 8), 3) == ("ok", 0)
-    assert max_rank_in_degree(generic_union([(5,), (2,), (2,)], 8), 5) \
-        == ("defect", 2)
-    assert max_rank_in_degree(
-        generic_union([(4,)] + [(2,)] * 6, 8), 6) == ("defect", 1)
-
-
 def test_max_rank_window_and_normalization():
     # one order-2 tacnode + four double points: length 18, audited 4..6
     Z = generic_union([(2, 2)] + [(2,)] * 4, 9)
@@ -126,6 +118,12 @@ def test_max_rank_accepts_a_generator_of_degrees():
     assert rep["degrees"] == [1, 2]
     assert [d["degree"] for d in rep["detail"]] == [1, 2]
     assert rep == max_rank(Z, [1, 2])
+    # a single degree: (systems, degree, defect)
+    for systems, d, defect in [([(2,)] * 3, 3, 0), ([(5,), (2,), (2,)], 5, 2),
+                               ([(4,)] + [(2,)] * 6, 6, 1)]:
+        rep = max_rank(generic_union(systems, 8), [d])
+        assert [row["defect"] for row in rep["detail"]] == [defect]
+        assert rep["ok"] == (defect == 0)
 
 
 def test_max_rank_rejects_bad_degrees():
@@ -133,8 +131,6 @@ def test_max_rank_rejects_bad_degrees():
     for degrees in ([-1, 3], [3, -1], [-2], []):
         with pytest.raises(ValueError):
             max_rank(Z, degrees)
-    with pytest.raises(ValueError):
-        max_rank_in_degree(Z, -1)
 
 
 # Reference: max_rank's detail as it was computed before the graded prefix,
@@ -211,6 +207,29 @@ def test_max_rank_wide_window_builds_one_matrix(monkeypatch):
     for row in rep["detail"][9:]:
         ncols = (row["degree"] + 1) * (row["degree"] + 2) // 2
         assert row["defect"] == 0 and row["actual"] == ncols - 16
+
+
+def test_max_rank_generic_keeps_the_better_draw(monkeypatch):
+    # the first draw puts the three double points on a line, defective in
+    # degrees 2, 3 and 4; the independent re-draw has full rank
+    collinear = SchemeUnion(tuple(
+        embed(WeightedCluster(free_chain(1), (2,)), base=(k, 2 * k))
+        for k in (1, 2, 3)))
+    assert [row["defect"] for row in max_rank(collinear)["detail"]] \
+        == [1, 2, 1]
+    seeded = plane_systems.generic_union
+    draws = []
+
+    def draw(mult_systems, seed, height):
+        draws.append(seed)
+        return collinear if len(draws) == 1 else seeded(mult_systems, seed,
+                                                        height)
+
+    monkeypatch.setattr(plane_systems, "generic_union", draw)
+    rep = max_rank_generic([(2,)] * 3, seed=8)
+    assert len(draws) == 2
+    assert rep["flagged"] and rep["ok"]
+    assert list(rep) == ["ok", "length", "degrees", "detail", "flagged"]
 
 
 def test_max_rank_exception_m4():

@@ -26,7 +26,7 @@ def test_specialize_us_to_us1():
     wc = WeightedCluster(us_chain(5, 3), (1,) * 5)
     ec = embed(wc, rng=rng_from(1, "spec"), height=10)
     moved = specialize_to_satellite(ec, 3)
-    assert matches_stratum(moved.weighted.cluster, 4, 1)
+    assert matches_stratum(moved.weighted.cluster, 4)
 
 
 def test_specialize_free_chain():

@@ -39,8 +39,7 @@ def test_cusp_scheme():
         ec = cusp_scheme(n, seed=n)
         assert length(ec.weighted) == 3 * (n + 1)
         assert unload(ec.weighted).steps == ()
-    core = cusp_scheme(1, seed=5, extended=False,
-                       lambdas=(None, Fraction(0), None))
+    core = ec_of([None, None, 0], [2, 1, 1], [None, 0, None])
     assert contains(ideal_subspace(core, 5), {(0, 2): 1, (3, 0): -1})
 
 
@@ -93,6 +92,19 @@ def test_verify_sharp_rejects_tangency_and_high_contact():
     triple = ec_of([None], [3], [None])
     assert not verify_sharp(
         PlaneCurve(4, {(0, 2): 1, (4, 0): -1}), triple).ok
+    # each curve attains the multiplicities and fails one corner check
+    for coeffs, ec, note in [
+            ({(2, 0): 1, (0, 3): -1}, node,
+             "non-simple crossing in the unchartable direction at the base "
+             "point"),
+            ({(0, 2): 1, (3, 0): -1}, ec_of([None, None], [2, 1], [None, 0]),
+             "branch through the corner with the previous divisor at point 1"),
+            ({(4, 0): 1, (0, 3): 1},
+             ec_of([None, None, 0], [3, 1, 1], [None, 0, None]),
+             "branch through the corner with the older divisor at point 2")]:
+        cert = verify_sharp(PlaneCurve(4, coeffs), ec)
+        assert cert.multiplicities_ok and not cert.ok
+        assert cert.notes == (note,)
 
 
 def test_verify_sharp_vanishing_curve():
@@ -140,7 +152,7 @@ def test_singular_locus_irrational_node_counted():
 
 def test_synthesize_three_nodes():
     curve, union = synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 4, seed=8)
-    assert not curve.is_zero()
+    assert curve.coeffs
     for ec in union.components:
         H = ideal_subspace(ec, max(curve.d, 3))
         assert contains(H, to_local(curve.coeffs, ec))
