@@ -5,6 +5,14 @@ field order (tool, version, command, config, results, verdict, timings) so
 that identical configurations produce byte-identical reports apart from the
 timings block.  Exit status: 0 when the verdict is ok, 1 when it is fail,
 2 on any error (bad input, violated precondition, unreadable file).
+
+Each command imports the modules it runs, inside its branch of `run`, so a
+cold start pays only for those.  `length`, `unload` and `render` load no
+package module beyond `cli`, `clusters`, `io` and `unloading`; `ell` and
+`maxrank` add `plane_systems` and what it imports (`linalg`,
+`local_algebra`, `polyops`, `sampling`); `verify` adds `synthesis` and
+`locus`.  No command imports sympy unless a curve falls back to the
+resultant locus.
 """
 
 import argparse
@@ -15,14 +23,15 @@ import time
 from . import __version__
 from .clusters import Cluster, WeightedCluster, render_enriques
 from .io import SchemaError, cluster_to_data, jsonable, parse_inputs
-from .plane_systems import (SchemeUnion, condition_matrix,
-                            exception_catalog, expected_dimension, max_rank)
-from .sampling import DEFAULT_HEIGHT
-from .specialization import (limit_dimension_experiment, limit_identities_sweep,
-                             semicontinuity_experiment)
-from .synthesis import (PlaneCurve, SingularitySpec, existence_driver,
-                        verify_sharp)
 from .unloading import length, unload
+
+
+def condition_matrix(Z, degree):
+    """plane_systems.condition_matrix, imported on first call; bound here so
+    that the call site can be wrapped by name."""
+    from .plane_systems import condition_matrix
+    return condition_matrix(Z, degree)
+
 
 def _int_list(text):
     """Comma-separated integers; an empty value is the empty list, and an
@@ -115,6 +124,7 @@ def _as_weighted(obj):
     are merged in order, dropping their bases and lambdas."""
     if isinstance(obj, WeightedCluster):
         return obj
+    from .plane_systems import SchemeUnion
     if isinstance(obj, SchemeUnion):
         chains = tuple(ec.weighted.cluster.chains[0] for ec in obj.components)
         mults = tuple(m for ec in obj.components for m in ec.mults)
@@ -123,19 +133,25 @@ def _as_weighted(obj):
 
 
 def _as_union(obj):
+    from .plane_systems import SchemeUnion
     if isinstance(obj, SchemeUnion):
         return obj
     raise SchemaError("$", "expected an embedded union (chains need bases "
                       "and lambdas)")
 
 
+def _height(args):
+    """--height, or the library's default draw height when it is unset."""
+    if args.height is None:
+        from .sampling import DEFAULT_HEIGHT
+        return DEFAULT_HEIGHT
+    if args.height < 1:
+        raise ValueError("--height must be at least 1, got %d" % args.height)
+    return args.height
+
+
 def run(args):
     """Dispatch one parsed command line; returns (results, verdict)."""
-    height = getattr(args, "height", None)
-    if height is None:
-        height = DEFAULT_HEIGHT
-    elif height < 1:
-        raise ValueError("--height must be at least 1, got %d" % height)
     cmd = args.command
     if cmd == "unload":
         wc = _as_weighted(parse_inputs(args.infile))
@@ -152,6 +168,7 @@ def run(args):
         return {"length": length(wc),
                 "delta": list(unload(wc).final.mults)}, "ok"
     if cmd == "ell":
+        from .plane_systems import expected_dimension
         Z = _as_union(parse_inputs(args.infile))
         mat = condition_matrix(Z.normalized(), args.degree)
         rank = mat.rank()
@@ -160,6 +177,7 @@ def run(args):
                 "actual": mat.ncols - 1 - rank,
                 "verdict": "ok", "seed": None}, "ok"
     if cmd == "maxrank":
+        from .plane_systems import max_rank
         Z = _as_union(parse_inputs(args.infile))
         degrees = None
         if args.all_degrees_up_to is not None:
@@ -168,6 +186,8 @@ def run(args):
         rep["seed"] = args.seed
         return rep, "ok" if rep["ok"] else "fail"
     if cmd == "catalog":
+        height = _height(args)
+        from .plane_systems import exception_catalog
         entries = exception_catalog(seed=args.seed, height=height)
         ok = all(set(e["failures"]) == {e["expected_degree"]}
                  for e in entries)
@@ -175,6 +195,8 @@ def run(args):
                             for e in entries],
                 "seed": args.seed}, "ok" if ok else "fail"
     if cmd == "synthesize":
+        height = _height(args)
+        from .synthesis import SingularitySpec, existence_driver
         spec = SingularitySpec(tuple(args.tacnodes), tuple(args.cusps))
         rep = existence_driver(spec, seed=args.seed, height=height,
                                 degree=args.degree)
@@ -185,6 +207,7 @@ def run(args):
                 fh.write("\n")
         return rep, rep["verdict"]
     if cmd == "verify":
+        from .synthesis import PlaneCurve, verify_sharp
         curve = parse_inputs(args.curve)
         union = parse_inputs(args.union)
         if not isinstance(curve, PlaneCurve):
@@ -197,6 +220,10 @@ def run(args):
                                      "notes": list(c.notes)} for c in certs]}
         return results, "ok" if all(c.ok for c in certs) else "fail"
     if cmd == "experiment":
+        height = _height(args)
+        from .specialization import (limit_dimension_experiment,
+                                     limit_identities_sweep,
+                                     semicontinuity_experiment)
         if args.kind == "semicontinuity":
             rep = semicontinuity_experiment(tuple(args.mults),
                                             trials=args.trials,

@@ -77,7 +77,11 @@ def us_chain(npoints, s):
     """Chain in the open stratum U_s, with the classical 1-based labels:
     every point is proximate to its predecessor, point i is also proximate
     to the root point 1 for s >= i > 1, and there are no other proximities.
-    In the 0-based storage this puts extra[k] = 0 for k = 2 .. s-1."""
+    In the 0-based storage this puts extra[k] = 0 for k = 2 .. s-1.  U_1
+    and U_2 are the free chain; s < 1 names no stratum and is a
+    ValueError."""
+    if s < 1:
+        raise ValueError("U_s needs s >= 1, got %d" % s)
     extras = [None] * npoints
     for k in range(2, min(s, npoints)):
         extras[k] = 0
@@ -203,19 +207,12 @@ def proximate_to(cluster, j):
 
 def matches_stratum(cluster, s):
     """True iff a single-chain cluster has exactly the proximities of the
-    open stratum U_s: each point to its predecessor, plus point i proximate
-    to the root point 1 for s >= i > 1, and no others.
-
-    s uses the classical 1-based labels; cluster storage stays 0-based.
+    open stratum U_s, those of `us_chain` of its length; s < 1 is a
+    ValueError there.
     """
     if cluster.root_count != 1:
         raise ValueError("stratum membership is defined for single chains")
-    ch = cluster.chains[0]
-    for k in range(len(ch)):
-        want = 0 if 2 <= k <= s - 1 else None
-        if ch[k] != want:
-            return False
-    return True
+    return cluster == us_chain(cluster.r, s)
 
 
 def render_enriques(wc, fmt="ascii"):

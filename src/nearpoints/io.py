@@ -22,6 +22,11 @@ is read: an extra_prox that no valid cluster allows is a SchemaError at
 that point's path.  Curve files carry {"degree": d, "coefficients":
 {"a,b": "p/q"}}, each key in canonical form (decimal exponents without
 leading zeros or spaces), so that no two keys name the same monomial.
+
+The records an embedded union or a curve parses to live in `local_algebra`,
+`plane_systems` and `synthesis`; they are imported in the branches that
+build or write them, so reading a combinatorial cluster loads none of those
+modules.
 """
 
 import json
@@ -30,10 +35,6 @@ from fractions import Fraction
 from math import gcd
 
 from .clusters import Cluster, WeightedCluster, validate
-from .local_algebra import EmbeddedCluster
-from .plane_systems import SchemeUnion
-from .polyops import monomial_key
-from .synthesis import PlaneCurve
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -158,6 +159,8 @@ def parse_cluster_data(data, path="$"):
     if not any(base is not None for _, _, _, base, _ in parsed):
         return WeightedCluster(
             cluster, tuple(m for _, mults, _, _, _ in parsed for m in mults))
+    from .local_algebra import EmbeddedCluster
+    from .plane_systems import SchemeUnion
     comps = []
     bases = set()
     for idx, (extras, mults, lambdas, base, shear) in enumerate(parsed):
@@ -205,6 +208,7 @@ def parse_curve_data(data, path="$"):
         if a + b > d:
             raise SchemaError(kpath, "monomial outside degree %d" % d)
         coeffs[(a, b)] = parse_fraction(val, kpath)
+    from .synthesis import PlaneCurve
     return PlaneCurve(d, coeffs)
 
 
@@ -238,24 +242,24 @@ def parse_inputs(path):
 
 def cluster_to_data(obj):
     """WeightedCluster | EmbeddedCluster | SchemeUnion -> JSON-ready dict."""
+    if isinstance(obj, WeightedCluster):
+        chains = []
+        off = 0
+        for ch in obj.cluster.chains:
+            chains.append(_chain_data(ch, obj.mults[off:off + len(ch)],
+                                      (None,) * len(ch)))
+            off += len(ch)
+        return {"chains": chains}
+    from .plane_systems import SchemeUnion
     if isinstance(obj, SchemeUnion):
         return {"chains": [cluster_to_data(ec)["chains"][0]
                            for ec in obj.components]}
-    if isinstance(obj, EmbeddedCluster):
-        chain = _chain_data(obj.weighted.cluster.chains[0],
-                            obj.mults, obj.lambdas)
-        chain["base"] = [str(obj.base[0]), str(obj.base[1])]
-        if obj.shear:
-            chain["shear"] = str(obj.shear)
-        return {"chains": [chain]}
-    wc = obj
-    chains = []
-    off = 0
-    for ch in wc.cluster.chains:
-        chains.append(_chain_data(ch, wc.mults[off:off + len(ch)],
-                                  (None,) * len(ch)))
-        off += len(ch)
-    return {"chains": chains}
+    chain = _chain_data(obj.weighted.cluster.chains[0],
+                        obj.mults, obj.lambdas)
+    chain["base"] = [str(obj.base[0]), str(obj.base[1])]
+    if obj.shear:
+        chain["shear"] = str(obj.shear)
+    return {"chains": [chain]}
 
 
 def _chain_data(extras, mults, lambdas):
@@ -275,6 +279,7 @@ def _chain_data(extras, mults, lambdas):
 
 
 def curve_to_data(curve):
+    from .polyops import monomial_key
     return {"degree": curve.d,
             "coefficients": {monomial_key(e): str(c)
                              for e, c in sorted(curve.coeffs.items())},

@@ -241,7 +241,10 @@ def us_consistent(s, m, i, j):
 
     m = 0 means there is no multiple point at all, which only makes sense
     on the free chain (satellites would be proximate to a weight-0 point).
+    s < 1 names no stratum and is a ValueError.
     """
+    if s < 1:
+        raise ValueError("U_s needs s >= 1, got %d" % s)
     if m < 0:
         raise ValueError("negative head multiplicity")
     if i < 0 or j < 0:

@@ -415,10 +415,52 @@ def test_more_points_than_the_height_holds_is_an_error():
     assert rep["verdict"] == "error" and "distinct points" in rep["error"]
 
 
-def test_cold_start_does_not_import_sympy():
-    proc = _child("-c", "import sys, nearpoints.cli; "
-                        "print('sympy' in sys.modules)")
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+# `python -m nearpoints.cli ARGS` that prints, as it exits, the modules it
+# loaded as a JSON list on stderr
+LOADED_AT_EXIT = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)),
+                              file=sys.stderr))
+runpy.run_module("nearpoints.cli", run_name="__main__", alter_sys=True)
+"""
+
+# the package modules every cold command may load: the CLI and what a
+# cluster file needs
+CLI_CORE = {"nearpoints", "nearpoints.cli", "nearpoints.clusters",
+            "nearpoints.io", "nearpoints.unloading"}
+
+
+def test_cold_start_does_not_import_sympy(tmp_path):
+    from nearpoints.io import cluster_to_data, curve_to_data
+    from nearpoints.synthesis import SingularitySpec, synthesize
+    curve, union = synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 4, seed=3)
+    curve_path, union_path = tmp_path / "c.json", tmp_path / "u.json"
+    curve_path.write_text(json.dumps(curve_to_data(curve)))
+    union_path.write_text(json.dumps(cluster_to_data(union)))
+    heavy = {"nearpoints.synthesis", "nearpoints.locus",
+             "nearpoints.specialization"}
+    # the command shapes of the cli_cold benchmark, with the package
+    # modules each must not load
+    for argv, code, barred in (
+            (["length", "--in", fixture("d7.json")], 0, None),
+            (["unload", "--in", fixture("d7.json"), "--trace"], 0, None),
+            (["render", "--in", fixture("d7.json")], 0, None),
+            (["length", "--in", fixture("bad_lambda.json")], 2, None),
+            (["ell", "--in", fixture("tacnode_union.json"), "--degree", "3"],
+             0, heavy),
+            (["maxrank", "--in", fixture("five_doubles.json")], 1, heavy),
+            (["verify", "--curve", str(curve_path), "--union",
+              str(union_path)], 0, {"nearpoints.specialization"})):
+        proc = _child("-c", LOADED_AT_EXIT, *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert not any(m == "sympy" or m.startswith("sympy.")
+                       for m in loaded), argv
+        ours = {m for m in loaded if m.split(".")[0] == "nearpoints"}
+        if barred is None:
+            assert ours <= CLI_CORE, (argv, sorted(ours - CLI_CORE))
+        else:
+            assert not ours & barred, (argv, sorted(ours & barred))
 
 
 def test_commands_run_without_sympy(tmp_path):

@@ -73,6 +73,17 @@ def test_matches_stratum():
     assert matches_stratum(us_chain(6, 4), 4)
 
 
+def test_a_stratum_below_one_is_rejected():
+    # U_1 and U_2 are the free chain; s < 1 names no stratum
+    assert us_chain(4, 1) == us_chain(4, 2) == free_chain(4)
+    assert matches_stratum(free_chain(4), 1)
+    for s in (0, -3):
+        with pytest.raises(ValueError, match="s >= 1"):
+            us_chain(4, s)
+        with pytest.raises(ValueError, match="s >= 1"):
+            matches_stratum(free_chain(4), s)
+
+
 def test_render_single_point():
     txt = render_enriques(weighted_chain([None], [4]))
     assert txt == "chain 0: p0[4]\n"

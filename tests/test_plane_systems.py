@@ -290,6 +290,18 @@ def test_negative_counts_are_rejected():
         level_split(2, 2, -3, 2)
 
 
+def test_a_stratum_below_one_is_rejected():
+    # U_1 is the free chain; s < 1 names no stratum
+    assert us_consistent(1, 0, 0, 3)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="s >= 1"):
+            us_consistent(s, 2, 1, 1)
+        with pytest.raises(ValueError, match="s >= 1"):
+            us_consistent(s, 0, 0, 3)
+    with pytest.raises(ValueError, match="s >= 1"):
+        level_split(2, 1, 1, -5)
+
+
 def test_level_split_lengths_and_containments():
     for (m, i, j, s) in [(2, 2, 0, 2), (3, 2, 1, 2), (4, 3, 2, 3),
                          (2, 1, 3, 2)]:
