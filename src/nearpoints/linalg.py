@@ -29,24 +29,30 @@ forward pass, run once for all such prefixes, on the rows cut below the
 widest of them: a prefix's rank reads only its own columns, so no column
 at or past that width enters the exact elimination.
 
-The certificate works mod the Mersenne prime p = 2^61 - 1 on packed rows:
+The certificate works mod the Mersenne prime p = 2^31 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
-column key present, the smallest key lowest, with w >= 124 + bit_length(n)
-rounded up to whole bytes.  Slots hold nonnegative representatives that
-are never reduced in place.  A pivot step reads the low slot of every row
-(r & (2^w - 1), then % p).  It folds the pivot row twice, slot by slot, with
-x -> (x mod 2^61) + (x >> 61), which keeps x mod p because 2^61 = 1 mod p;
-multiplies it by -1/v mod p for its pivot entry v; folds it once more; and
-replaces every other row r by (r >> w) + f * q, where f is the low slot of
-r and q the folded pivot row without its low slot.  So a pivot costs one
-multiply-add and one shift per row, whatever the number of columns.
+column key present, the smallest key lowest, with w >= 64 + bit_length(n)
+rounded up to whole bytes (9 bytes up to 255 rows).  Slots hold nonnegative
+representatives that are never reduced in place.  A pivot step reads the
+low slot of every row (r & (2^w - 1), then % p).  It folds the pivot row
+twice, slot by slot, with x -> (x mod 2^31) + (x >> 31), which keeps x mod p
+because 2^31 = 1 mod p; multiplies it by -1/v mod p for its pivot entry v;
+folds it once more; and replaces every other row r by (r >> w) + f * q,
+where f is the low slot of r and q the folded pivot row without its low
+slot.  So a pivot costs one multiply-add and one shift per row, whatever
+the number of columns.
 
-Exactness: two folds bring a slot below 2^62 (for n < 2^56), the product
-below 2^123 and the third fold below 2^63, so with f < 2^61 one pivot adds
-less than 2^124 to a slot.  At most n - 1 pivots reach a row, so every
-slot stays below 2^(124 + bit_length(n)) <= 2^w and never carries into its
-neighbour.  The packed rows are therefore the rows of the plain elimination
-mod p, slot for slot up to multiples of p, and the rank is the GF(p) rank.
+Exactness: two folds bring a slot below 2^31 + 2^(w - 62), so below 2^32
+while w <= 93; rounded up to whole bytes, 64 + bit_length(n) stays within
+that (w <= 88) for every n up to 2^24 - 1 = 16,777,215 rows.  The product
+with -1/v < 2^31 stays below 2^63 and the third fold brings it below 2^33,
+so with f < 2^31 one pivot adds less than 2^64 to a slot.  At most n - 1
+pivots reach a row, so every slot stays below 2^(64 + bit_length(n)) <= 2^w
+and never carries into its neighbour.  The packed rows are therefore the
+rows of the plain elimination mod p, slot for slot up to multiples of p,
+and the rank is the GF(p) rank.  The choice of prime only sets how often
+the rank mod p falls short of the rank over Q, which sends `rank` to
+`forward`; it never exceeds that rank, so every verdict stays certified.
 
 `forward` is the forward pass of integer Gauss-Jordan on sparse primitive
 rows (content 1): one primitive row per pivot column, reduced against the
@@ -64,7 +70,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-_P61 = (1 << 61) - 1  # Mersenne prime
+_P31 = (1 << 31) - 1  # Mersenne prime
 # every zero entry rref and nullspace emit is this one object, so comparing
 # two outputs meets mostly identical entries
 _ZERO = Fraction(0)
@@ -107,7 +113,7 @@ def _to_sparse_int_rows(rows):
 
 
 def _rank_mod(rows):
-    """Pivot columns over GF(p), p = 2^61 - 1, of sparse integer rows:
+    """Pivot columns over GF(p), p = 2^31 - 1, of sparse integer rows:
     the sorted column keys where elimination in key order finds a pivot,
     as many as the rank mod p.
 
@@ -120,16 +126,16 @@ def _rank_mod(rows):
     if not nrows or not ncols:
         return []
     slots = {c: i for i, c in enumerate(cols)}
-    p = _P61
-    nbytes = (124 + nrows.bit_length() + 7) // 8
+    p = _P31
+    nbytes = (64 + nrows.bit_length() + 7) // 8
     w = 8 * nbytes
     low = (1 << w) - 1
-    # every slot's low 61 bits, and its low w - 61 bits
-    lo61 = int.from_bytes(p.to_bytes(nbytes, "little") * ncols, "little")
-    hi = int.from_bytes(((1 << (w - 61)) - 1).to_bytes(nbytes, "little")
+    # every slot's low 31 bits, and its low w - 31 bits
+    lo31 = int.from_bytes(p.to_bytes(nbytes, "little") * ncols, "little")
+    hi = int.from_bytes(((1 << (w - 31)) - 1).to_bytes(nbytes, "little")
                         * ncols, "little")
-    # a residue < 2^61 fills the low 8 bytes of its slot, zeros the rest
-    pack = struct.Struct("<" + "Q%dx" % (nbytes - 8) * ncols).pack
+    # a residue < 2^31 fills the low 4 bytes of its slot, zeros the rest
+    pack = struct.Struct("<" + "I%dx" % (nbytes - 4) * ncols).pack
     packed = []
     for r in rows:
         vals = [0] * ncols
@@ -151,13 +157,13 @@ def _rank_mod(rows):
         if not rows:
             break
         del lead[piv]
-        # two folds: every slot < 2^61 + 2^(w - 121) < 2^62
-        q = (q & lo61) + ((q >> 61) & hi)
-        q = (q & lo61) + ((q >> 61) & hi)
+        # two folds: every slot < 2^31 + 2^(w - 62) <= 2^32
+        q = (q & lo31) + ((q >> 31) & hi)
+        q = (q & lo31) + ((q >> 31) & hi)
         # times -1/v and folded: the pivot slot is = -1 mod p and every
-        # slot < 2^63, so f * q adds less than 2^124 to a slot
+        # slot < 2^33, so f * q adds less than 2^64 to a slot
         q *= p - pow(v, -1, p)
-        q = (q & lo61) + ((q >> 61) & hi)
+        q = (q & lo31) + ((q >> 31) & hi)
         rows = [(r + f * q) >> w for r, f in zip(rows, lead)]
     return pivots
 

@@ -175,7 +175,9 @@ def _step_sparse(state, den, swap, lam, m_leave, keep_bound):
     is 0)."""
     p, q = lam.numerator, lam.denominator
     bmax = max((a if swap else b for (a, b) in state), default=0)
-    qpow = [q ** e for e in range(bmax + 1)]
+    # pq[k] = p^k q^(bmax - k) = q^bmax (p/q)^k, the term y^(b-k) of
+    # (y + p/q)^b over the new denominator, up to its binomial
+    pq = [p ** k * q ** (bmax - k) for k in range(bmax + 1)]
     new = {}
     for (a, b), vec in state.items():
         if swap:
@@ -187,7 +189,7 @@ def _step_sparse(state, den, swap, lam, m_leave, keep_bound):
         for l in range(b + 1) if p else (b,):
             if base_a + l >= keep_bound:
                 break
-            coef = comb(b, l) * p ** (b - l) * qpow[bmax - (b - l)]
+            coef = comb(b, l) * pq[b - l]
             tgt = new.setdefault((base_a, l), {})
             for col, v in vec.items():
                 s = tgt.get(col, 0) + coef * v
@@ -195,7 +197,7 @@ def _step_sparse(state, den, swap, lam, m_leave, keep_bound):
                     tgt[col] = s
                 else:
                     del tgt[col]
-    return {e: vec for e, vec in new.items() if vec}, den * qpow[bmax]
+    return {e: vec for e, vec in new.items() if vec}, den * pq[0]
 
 
 def _walk(ec, state, den, bounds, divisor):

@@ -112,20 +112,24 @@ def tjurina_certificate(coeffs, s):
     """True only if the curve is reduced and its total Tjurina number, over
     all singular points of the projective closure, is at most s.
 
-    Let F in Z[X, Y, Z] be the curve homogenized to its degree d, J the ideal
-    of its partials, and h_p(t) = C(t+2, 2) minus the rank mod p = 2^61 - 1
-    of the degree-t Macaulay matrix of J.  A mod-p rank never exceeds the
-    rank over Q, so h_p(t) is at least the Hilbert function of S/J, which
-    maps onto the coordinate ring of the Jacobian scheme.  By Euler's
-    relation F lies in J, so that scheme sits on the singular points and
-    has length tau(C), infinite when C is not reduced; its Hilbert function
-    rises by at least one per degree until it reaches the length.  Hence
+    Let F in Z[X, Y, Z] be the curve homogenized to its degree d, J the
+    ideal of its partials, and h_p(t) = C(t+2, 2) minus the rank mod
+    p = 2^31 - 1 of the degree-t Macaulay matrix of J (`linalg._rank_mod`).
+    A mod-p rank never exceeds the rank over Q, whatever the prime, so
+    h_p(t) is at least the Hilbert function of S/J, which maps onto the
+    coordinate ring of the Jacobian scheme.  By Euler's relation F lies in
+    J, so that scheme sits on the singular points and has length tau(C),
+    infinite when C is not reduced; its Hilbert function rises by at least
+    one per degree until it reaches the length.  Hence
     h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves
     tau(C) <= s.  The degrees tried run from max(s, d-1), where the matrix
     first has rows, to max(s, 3(d-2)), Dimca's stability bound for the
     Jacobian algebra.  The matrix at degree t has 3 C(t-d+3, 2) rows, which
     bound its rank; a degree where C(t+2, 2) minus that count exceeds s
-    cannot give h_p(t) <= s, and is skipped without taking the rank.
+    cannot give h_p(t) <= s, and is skipped without taking the rank.  A
+    rank that falls short mod p only raises h_p(t): the scan moves on to
+    the next degree, and the caller to the resultant locus, but never
+    passes wrongly.
 
     When the curve is known to carry singular points whose Tjurina numbers
     sum to s, a pass proves that they are all of its singular points.
