@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _MODULES = {
     "clusters": ("Cluster", "WeightedCluster", "excesses", "free_chain",
-                 "is_consistent", "matches_stratum", "parse_enriques",
-                 "proximity_matrix", "render_enriques", "single_chain",
-                 "system", "us_chain", "validate", "weighted_chain"),
+                 "is_consistent", "matches_stratum", "proximity_matrix",
+                 "render_enriques", "single_chain", "system", "us_chain",
+                 "validate", "weighted_chain"),
     "unloading": ("UnloadingTrace", "equivalent", "length", "unload",
                   "unload_step"),
     "local_algebra": ("ConditionMatrix", "EmbeddedCluster", "IdealSubspace",

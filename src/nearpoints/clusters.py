@@ -11,7 +11,6 @@ All indices in this module are 0-based.
 """
 
 from dataclasses import dataclass
-import re
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,9 @@ def validate(cluster):
     """Check the proximity invariants; returns a list of violations.
 
     An empty list means the cluster is valid.  Each violation is a
-    (chain, point, message) triple.
+    (chain, point, message) triple: an empty chain, a root with an extra
+    proximity, or a point k >= 1 whose extra target is not among
+    `satellite_targets` of the chain before it.
     """
     problems = []
     for c, ch in enumerate(cluster.chains):
@@ -137,33 +138,11 @@ def validate(cluster):
             continue
         if ch[0] is not None:
             problems.append((c, 0, "root point cannot carry an extra proximity"))
-        if len(ch) > 1 and ch[1] is not None:
-            problems.append((c, 1, "second point is proximate only to the root"))
-        for k in range(2, len(ch)):
-            t = ch[k]
-            if t is None:
-                continue
-            if not (0 <= t < k - 1):
-                problems.append((c, k, "extra target %r out of range" % (t,)))
-                continue
-            # the satellite sits on the strict transform of E_t, so the
-            # previous point must be proximate to t as well, unless t = k-2
-            if t != k - 2 and ch[k - 1] != t:
-                problems.append((c, k,
-                                 "point %d proximate to %d but %d is not" %
-                                 (k, t, k - 1)))
-        # proximity runs must be contiguous: the satellites of point t are
-        # exactly points t+2 .. t+1+len(run)
-        targets = {}
-        for k in range(len(ch)):
-            if ch[k] is not None:
-                targets.setdefault(ch[k], []).append(k)
-        for t, ks in targets.items():
-            want = list(range(t + 2, t + 2 + len(ks)))
-            if ks != want:
-                problems.append((c, ks[0],
-                                 "satellites of %d are %r, expected a run %r" %
-                                 (t, ks, want)))
+        for k in range(1, len(ch)):
+            if ch[k] is not None and ch[k] not in satellite_targets(ch, k):
+                problems.append((c, k, "extra target %r is not among the "
+                                 "satellite positions %r"
+                                 % (ch[k], satellite_targets(ch, k))))
     return problems
 
 
@@ -257,28 +236,3 @@ def render_enriques(wc, fmt="ascii"):
         out.append("}")
         return "\n".join(out) + "\n"
     raise ValueError("unknown format %r" % (fmt,))
-
-
-_ASCII_POINT = re.compile(r"p(\d+)\[(-?\d+)(?:,(free|sat->(\d+)))?\]$")
-
-
-def parse_enriques(text):
-    """Inverse of render_enriques(..., 'ascii')."""
-    chains = []
-    mults = []
-    for line in text.strip().splitlines():
-        head, _, rest = line.partition(":")
-        if not head.startswith("chain"):
-            raise ValueError("bad chain line %r" % (line,))
-        extras = []
-        for tok in rest.strip().split(" -- "):
-            m = _ASCII_POINT.match(tok.strip())
-            if not m:
-                raise ValueError("bad point token %r" % (tok,))
-            mults.append(int(m.group(2)))
-            if m.group(4) is not None:
-                extras.append(int(m.group(4)))
-            else:
-                extras.append(None)
-        chains.append(tuple(extras))
-    return WeightedCluster(Cluster(tuple(chains)), tuple(mults))

@@ -111,11 +111,6 @@ class EmbeddedCluster:
         return EmbeddedCluster(self.weighted.with_mults(mults), self.lambdas,
                                self.base, self.shear)
 
-    def satellite_targets_for_next(self):
-        """Extra-proximity targets available to a new point on the last
-        exceptional divisor."""
-        return satellite_targets(self.extras, self.r)
-
     def extend_free(self, lam):
         wc = WeightedCluster(single_chain(self.extras + (None,)),
                              self.mults + (1,))
@@ -123,7 +118,7 @@ class EmbeddedCluster:
                                self.base, self.shear)
 
     def extend_satellite(self, target):
-        if target not in self.satellite_targets_for_next():
+        if target not in satellite_targets(self.extras, self.r):
             raise ValueError("no satellite position over point %d here" % target)
         wc = WeightedCluster(single_chain(self.extras + (target,)),
                              self.mults + (1,))

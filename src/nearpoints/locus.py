@@ -143,14 +143,15 @@ def tjurina_certificate(coeffs, s):
               if d - a - b})
     for t in range(max(s, d - 1), max(s, 3 * (d - 2)) + 1):
         e = t - d + 1
+        ncols = (t + 1) * (t + 2) // 2
         # the rank is at most the 3 C(e+2, 2) rows, so h > s whatever it is:
         # the same verdict as taking it, without the elimination
-        if (t + 1) * (t + 2) // 2 - 3 * (e + 1) * (e + 2) // 2 > s:
+        if ncols - 3 * (e + 1) * (e + 2) // 2 > s:
             continue
         rows = [{(i + u, j + v): c for (i, j), c in g.items()}
                 for u in range(e + 1) for v in range(e + 1 - u)
                 for g in grads]
-        h = (t + 1) * (t + 2) // 2 - len(linalg._rank_mod(rows))
+        h = ncols - len(linalg._rank_mod(rows))
         if h <= s:
             # below s only when the premise on s is wrong
             return h == s
@@ -184,7 +185,7 @@ def singular_locus(C):
     Px = P.diff(x)
     Py = P.diff(y)
 
-    g = P.gcd(Px).gcd(P.gcd(Py))
+    g = P.gcd(Px).gcd(Py)
     if not g.is_ground:
         raise ValueError(
             "curve is not squarefree: repeated factor %s"

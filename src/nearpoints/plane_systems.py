@@ -113,7 +113,7 @@ def level_floor(n):
     d = 0
     while (d + 2) * (d + 3) // 2 <= n:
         d += 1
-    return d if (d + 1) * (d + 2) // 2 <= n else 0
+    return d
 
 
 def max_rank(Z, degrees=None):
@@ -278,14 +278,9 @@ def level_split(m, i, j, s):
     return m_minus, m_plus, d, eps
 
 
-def stratum_embedding(s, mults, seed, height=DEFAULT_HEIGHT):
-    """Seeded generic embedding of a U_s cluster carrying the given system."""
+def stratum_ell(s, mults, d, seed, height=DEFAULT_HEIGHT):
+    """ell of degree-d curves through a seeded generic embedding of a U_s
+    cluster carrying the system."""
     rng = rng_from(seed, "stratum", s, tuple(mults))
     wc = WeightedCluster(us_chain(len(mults), s), tuple(mults))
-    return embed(wc, rng=rng, height=height)
-
-
-def stratum_ell(s, mults, d, seed, height=DEFAULT_HEIGHT):
-    """ell of degree-d curves through a generic U_s scheme with the system."""
-    ec = stratum_embedding(s, mults, seed, height=height)
-    return ell(SchemeUnion((ec,)), d)
+    return ell(SchemeUnion((embed(wc, rng=rng, height=height),)), d)

@@ -185,7 +185,7 @@ def one_more_point_lengths(ec, samples=20, seed=0, height=DEFAULT_HEIGHT):
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
     rng = rng_from(seed, "one-more-point", ec.mults)
-    targets = ec.satellite_targets_for_next()
+    targets = satellite_targets(ec.extras, ec.r)
     need = max(0, samples - len(targets))
     nonzero = ec.extras[ec.r - 1] is not None
     # at least 4*height - 2 values exist (+-p and +-1/p), so the exact count

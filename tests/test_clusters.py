@@ -4,11 +4,46 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_chain
 from nearpoints.clusters import (Cluster, WeightedCluster, excesses,
                                  free_chain, is_consistent, matches_stratum,
-                                 parse_enriques, proximity_matrix,
-                                 render_enriques, satellite_targets,
-                                 single_chain, us_chain, validate,
-                                 weighted_chain)
+                                 proximity_matrix, render_enriques,
+                                 satellite_targets, single_chain, us_chain,
+                                 validate, weighted_chain)
 from nearpoints.sampling import rng_from
+
+
+def reference_validate(cluster):
+    """The proximity invariants checked from first principles, independent
+    of `satellite_targets`: (chain, point) of each violation, in the order
+    found."""
+    problems = []
+    for c, ch in enumerate(cluster.chains):
+        if len(ch) == 0:
+            problems.append((c, 0))
+            continue
+        if ch[0] is not None:
+            problems.append((c, 0))
+        if len(ch) > 1 and ch[1] is not None:
+            problems.append((c, 1))
+        for k in range(2, len(ch)):
+            t = ch[k]
+            if t is None:
+                continue
+            if not (0 <= t < k - 1):
+                problems.append((c, k))
+                continue
+            # the satellite sits on the strict transform of E_t, so the
+            # previous point must be proximate to t as well, unless t = k-2
+            if t != k - 2 and ch[k - 1] != t:
+                problems.append((c, k))
+        # proximity runs must be contiguous: the satellites of point t are
+        # exactly points t+2 .. t+1+len(run)
+        runs = {}
+        for k in range(len(ch)):
+            if ch[k] is not None:
+                runs.setdefault(ch[k], []).append(k)
+        for t, ks in runs.items():
+            if ks != list(range(t + 2, t + 2 + len(ks))):
+                problems.append((c, ks[0]))
+    return problems
 
 
 def test_validate_plain_chain():
@@ -112,16 +147,42 @@ def test_excesses_match_proximity_matrix(seed, npts):
     assert is_consistent(wc) == (min(excesses(wc)) >= 0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000),
-       st.lists(st.integers(1, 6), min_size=1, max_size=3))
-def test_render_round_trip(seed, sizes):
-    # forests of 1-3 chains: every chain shows its own multiplicities
-    rng = rng_from(seed, "render-prop")
-    forest = Cluster(tuple(random_chain(rng, n).chains[0] for n in sizes))
-    wc = WeightedCluster(forest,
-                         tuple(rng.randint(0, 5) for _ in range(forest.r)))
-    assert parse_enriques(render_enriques(wc)) == wc
+def test_render_two_chain_forest():
+    # every chain shows its own multiplicities, read from its own offset
+    forest = Cluster(((None, None), (None, None, 0)))
+    wc = WeightedCluster(forest, (2, 1, 3, 2, 1))
+    assert render_enriques(wc) == (
+        "chain 0: p0[2] -- p1[1,free]\n"
+        "chain 1: p0[3] -- p1[2,free] -- p2[1,sat->0]\n")
+
+
+@st.composite
+def forests(draw):
+    """Forests of 1-3 chains of up to 7 points: each chain is a random
+    valid chain, the same with one point's extra redrawn, or arbitrary."""
+    chains = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 7))
+        extra = st.one_of(st.none(), st.integers(-1, n))
+        kind = draw(st.sampled_from(["valid", "one redrawn", "arbitrary"]))
+        if kind == "arbitrary" or n == 0:
+            chains.append(tuple(draw(st.lists(extra, min_size=n,
+                                              max_size=n))))
+            continue
+        ch = list(random_chain(rng_from(draw(st.integers(0, 10 ** 6)),
+                                        "forest"), n).chains[0])
+        if kind == "one redrawn":
+            ch[draw(st.integers(0, n - 1))] = draw(extra)
+        chains.append(tuple(ch))
+    return Cluster(tuple(chains))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests())
+def test_validate_agrees_with_the_reference(forest):
+    # same verdict, and the same first (chain, point) on an invalid forest
+    got = [(c, k) for c, k, _ in validate(forest)]
+    assert got[:1] == reference_validate(forest)[:1]
 
 
 def test_validate_accepts_synthesis_constructors():
@@ -152,7 +213,7 @@ def test_satellite_targets_are_the_valid_extensions(seed, npts):
     extras = list(random_chain(rng_from(seed, "targets"), npts).chains[0])
     k = len(extras)
     valid = [t for t in range(k - 1)
-             if not validate(single_chain(extras + [t]))]
+             if not reference_validate(single_chain(extras + [t]))]
     targets = satellite_targets(extras, k)
     assert sorted(targets) == valid
     assert targets[0] == k - 2

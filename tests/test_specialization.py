@@ -116,14 +116,14 @@ def test_one_more_point_lengths_needs_a_sample(samples):
 
 ONE_MORE_AT_HEIGHT_1 = """
 import sys
-from nearpoints.clusters import weighted_chain
+from nearpoints.clusters import satellite_targets, weighted_chain
 from nearpoints.local_algebra import embed
 from nearpoints.sampling import rng_from
 from nearpoints.specialization import one_more_point_lengths
 ec = embed(weighted_chain([None, None], [2, 1]), rng=rng_from(0, "ompl"),
            height=1)
 # the satellite corner, then every one of -1, 0, 1 (and one more)
-samples = len(ec.satellite_targets_for_next()) + 3
+samples = len(satellite_targets(ec.extras, ec.r)) + 3
 rep = one_more_point_lengths(ec, samples=samples + int(sys.argv[1]),
                              height=1)
 print(len(rep["samples"]))
