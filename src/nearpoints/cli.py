@@ -1,10 +1,13 @@
 """Command-line interface.
 
-One executable with subcommands; every run emits a JSON report with a fixed
-field order (tool, version, command, config, results, verdict, timings) so
-that identical configurations produce byte-identical reports apart from the
-timings block.  Exit status: 0 when the verdict is ok, 1 when it is fail,
-2 on any error (bad input, violated precondition, unreadable file).
+One executable with subcommands; every run prints one JSON report to stdout
+with a fixed field order (tool, version, command, config, results, verdict,
+timings) so that identical configurations produce byte-identical reports
+apart from the timings block.  Exit status: 0 when the verdict is ok, 1 when
+it is fail, 2 on any error (bad input, violated precondition, unreadable
+file, an option the command does not read).  There is no global option:
+each command, and each kind of `experiment`, declares only the options it
+reads, and `config` echoes those.
 
 Each command imports the modules it runs, inside its branch of `run`, so a
 cold start pays only for those.  `length`, `unload` and `render` load no
@@ -51,16 +54,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error instead of printing usage and exiting, so
     that main reports it like any other error; subparsers inherit the
-    class, and their prog is "nearpoints <command>"."""
+    class, and their prog is "nearpoints <command> [<kind>]".  An option is
+    read only under its full name: as a prefix, `--s` of limit-dimension
+    would be taken for `--s-max` by limit-identities."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+        raise _UsageError((self.prog.split()[1:] or [None])[0], message)
 
 
 def build_parser():
     ap = _Parser(prog="nearpoints")
-    ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--out", help="also write the report to this path")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("unload", help="consistent normal form of a cluster")
@@ -98,20 +104,24 @@ def build_parser():
     p.add_argument("--union", required=True)
 
     p = sub.add_parser("experiment", help="seeded specialization experiments")
-    p.add_argument("kind", choices=("semicontinuity", "limit-identities",
-                                    "limit-dimension"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--mults", type=_int_list, default=[2, 2, 2])
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--i", dest="ii", type=int, default=2)
-    p.add_argument("--j", dest="jj", type=int, default=1)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--s-max", type=int, default=5)
-    p.add_argument("--m-max", type=int, default=10)
-    p.add_argument("--i-max", type=int, default=12)
-    p.add_argument("--j-max", type=int, default=12)
-    p.add_argument("--height", type=int, default=None)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("semicontinuity")
+    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--trials", type=int, default=20)
+    k.add_argument("--mults", type=_int_list, default=[2, 2, 2])
+    k.add_argument("--height", type=int, default=None)
+    k = kinds.add_parser("limit-identities")
+    k.add_argument("--s-max", type=int, default=5)
+    k.add_argument("--m-max", type=int, default=10)
+    k.add_argument("--i-max", type=int, default=12)
+    k.add_argument("--j-max", type=int, default=12)
+    k = kinds.add_parser("limit-dimension")
+    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--s", type=int, default=2)
+    k.add_argument("--i", dest="ii", type=int, default=2)
+    k.add_argument("--j", dest="jj", type=int, default=1)
+    k.add_argument("--degree", type=int, default=3)
+    k.add_argument("--height", type=int, default=None)
 
     p = sub.add_parser("render", help="Enriques diagram of a cluster")
     p.add_argument("--in", dest="infile", required=True)
@@ -220,14 +230,14 @@ def run(args):
                                      "notes": list(c.notes)} for c in certs]}
         return results, "ok" if all(c.ok for c in certs) else "fail"
     if cmd == "experiment":
-        height = _height(args)
         from .specialization import (limit_dimension_experiment,
                                      limit_identities_sweep,
                                      semicontinuity_experiment)
         if args.kind == "semicontinuity":
             rep = semicontinuity_experiment(tuple(args.mults),
                                             trials=args.trials,
-                                            seed=args.seed, height=height)
+                                            seed=args.seed,
+                                            height=_height(args))
         elif args.kind == "limit-identities":
             detected, bad = limit_identities_sweep(args.s_max, args.m_max,
                                                    args.i_max, args.j_max)
@@ -239,29 +249,12 @@ def run(args):
         else:
             rep = limit_dimension_experiment(args.s, args.ii, args.jj,
                                              args.degree, seed=args.seed,
-                                             height=height)
+                                             height=_height(args))
         return rep, "ok" if rep.get("ok") else "fail"
     if cmd == "render":
         wc = _as_weighted(parse_inputs(args.infile))
         return {"diagram": render_enriques(wc, args.style)}, "ok"
     raise SchemaError("$", "unknown command %r" % cmd)
-
-
-def _text_render(report):
-    lines = ["%s %s: %s" % (report["tool"], report["command"],
-                            report["verdict"])]
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk("%s.%s" % (prefix, k) if prefix else k, v)
-        elif isinstance(obj, list) and len(obj) > 6:
-            lines.append("%s: [%d entries]" % (prefix, len(obj)))
-        else:
-            lines.append("%s: %s" % (prefix, obj))
-    walk("", report.get("results", {}))
-    if "error" in report:
-        lines.append("error: %s" % report["error"])
-    return "\n".join(lines) + "\n"
 
 
 def _report(command, t0, **fields):
@@ -274,41 +267,28 @@ def _report(command, t0, **fields):
 def main(argv=None):
     t0 = time.time()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise _UsageError(args.command, "unrecognized arguments: %s"
+                              % " ".join(extra))
     except _UsageError as exc:
-        sys.stdout.write(_render(_report(exc.command, t0, error=str(exc),
-                                         verdict="error"), "json"))
-        return 2
+        return _emit(_report(exc.command, t0, error=str(exc),
+                             verdict="error"), 2)
     try:
         results, verdict = run(args)
     except (SchemaError, ValueError, OSError, RuntimeError) as exc:
-        report = _report(args.command, t0, error=str(exc), verdict="error")
-        code = 2
-    else:
-        config = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("format", "out") and v is not None}
-        report = _report(args.command, t0, config=jsonable(config),
-                         results=jsonable(results), verdict=verdict)
-        code = 0 if verdict == "ok" else 1
-    payload = _render(report, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            # the report could not be kept: say so instead of the report
-            report = _report(args.command, t0,
-                             error="cannot write --out: %s" % exc,
-                             verdict="error")
-            payload = _render(report, args.format)
-            code = 2
-    sys.stdout.write(payload)
+        return _emit(_report(args.command, t0, error=str(exc),
+                             verdict="error"), 2)
+    config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
+    return _emit(_report(args.command, t0, config=jsonable(config),
+                         results=jsonable(results), verdict=verdict),
+                 0 if verdict == "ok" else 1)
+
+
+def _emit(report, code):
+    """Print the report on stdout; returns the exit status."""
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return code
-
-
-def _render(report, fmt):
-    return (json.dumps(report, indent=2) + "\n" if fmt == "json"
-            else _text_render(report))
 
 
 if __name__ == "__main__":

@@ -266,6 +266,8 @@ def level_split(m, i, j, s):
         raise ValueError("(%d, 2^%d, 1^%d) is not consistent in U_%d"
                          % (m, i, j, s))
     N = m * (m + 1) // 2 + 3 * i + j
+    if N == 0:
+        raise ValueError("the empty system has no level to split")
     d = level_floor(N)
     eps = N - (d + 1) * (d + 2) // 2
     if not 0 <= eps <= d + 1:

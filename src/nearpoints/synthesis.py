@@ -269,10 +269,7 @@ def verify_sharp(C, ec):
             notes.append("multiplicity %s at point %d, prescribed %d"
                          % (attained[k], k, mults[k]))
             continue
-        g = polys[k]
-        if not g:
-            continue
-        psi, vert_mult = _leading_univariate(g)
+        psi, vert_mult = _leading_univariate(polys[k])
         # where the tracked branches continue: the next cluster point is
         # the vertical direction when its step exchanges x and y, else the
         # root lam of the leading form (none after the last point)

@@ -70,6 +70,19 @@ def test_cluster_commands_read_a_union_as_its_chains(capsys, tmp_path):
             assert reports[1][1]["results"]["length"] == 9
 
 
+def test_a_negative_multiplicity_imposes_no_condition(capsys, tmp_path):
+    # multiplicities are signed virtual ones: unloading raises (2, -1) to
+    # (2, 0), so the negative one imposes no condition
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"chains": [{"points": [
+        {"kind": "root", "mult": 2}, {"kind": "free", "mult": -1}]}]}))
+    code, rep = run_cli(capsys, "length", "--in", str(path))
+    assert code == 0 and rep["results"] == {"length": 3, "delta": [2, 0]}
+    code, rep = run_cli(capsys, "experiment", "semicontinuity", "--mults",
+                        "2,2,-1", "--trials", "2")
+    assert code == 0 and rep["verdict"] == "ok"
+
+
 def test_ell(capsys):
     code, rep = run_cli(capsys, "ell", "--in", fixture("tacnode_union.json"),
                         "--degree", "2")
@@ -254,8 +267,7 @@ def test_height_below_one_is_an_error(capsys, argv):
     (["synthesize", "--tacnodes", "1,x"], "synthesize",
      "argument --tacnodes: invalid _int_list value: '1,x'"),
     (["frobnicate"], None, "argument command: invalid choice: 'frobnicate'"),
-    (["--format", "text", "length"], "length",
-     "the following arguments are required: --in"),
+    (["length"], "length", "the following arguments are required: --in"),
     # an empty item is an error, not a skipped one
     (["synthesize", "--tacnodes", "1,,1,1", "--seed", "3"], "synthesize",
      "argument --tacnodes: invalid _int_list value: '1,,1,1'"),
@@ -269,10 +281,31 @@ def test_height_below_one_is_an_error(capsys, argv):
     # the weight bound admits a node at d = 2, but a singular conic is a
     # line pair
     (["synthesize", "--tacnodes", "1", "--degree", "2"], "synthesize",
-     "degree 2 below 3: a singular curve of degree <= 2 is reducible")])
+     "degree 2 below 3: a singular curve of degree <= 2 is reducible"),
+    # an option of one experiment kind is foreign to the others
+    (["experiment", "semicontinuity", "--s-max", "3"], "experiment",
+     "unrecognized arguments: --s-max 3"),
+    (["experiment", "limit-identities", "--height", "0"], "experiment",
+     "unrecognized arguments: --height 0"),
+    (["experiment", "limit-dimension", "--trials", "0"], "experiment",
+     "unrecognized arguments: --trials 0"),
+    # nor is an option read by a prefix of its name
+    (["experiment", "limit-identities", "--s", "3"], "experiment",
+     "unrecognized arguments: --s 3"),
+    (["experiment", "semicontinuity", "--s", "3"], "experiment",
+     "unrecognized arguments: --s 3"),
+    (["length", "--in", fixture("d7.json"), "--bogus", "1"], "length",
+     "unrecognized arguments: --bogus 1"),
+    (["length", "--in", fixture("d7.json"), "--format", "text"], "length",
+     "unrecognized arguments: --format text"),
+    # no global option: the first word after an unknown one is read as
+    # the command
+    (["--format", "text", "length", "--in", fixture("d7.json")], None,
+     "argument command: invalid choice: 'text'"),
+    (["--out", "report.json", "length", "--in", fixture("d7.json")], None,
+     "argument command: invalid choice: 'report.json'")])
 def test_usage_error_is_an_error_report(capsys, argv, command, message):
-    # no usage text on stderr and no SystemExit: the JSON error report,
-    # also when --format text was asked for, since parsing did not finish
+    # no usage text on stderr and no SystemExit: the JSON error report
     code = main(argv)
     out, err = capsys.readouterr()
     rep = json.loads(out)
@@ -282,6 +315,21 @@ def test_usage_error_is_an_error_report(capsys, argv, command, message):
     assert rep["command"] == command and rep["verdict"] == "error"
     assert rep["error"].startswith(message)
     assert "elapsed_s" in rep["timings"]
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["semicontinuity", "--trials", "2", "--height", "5"],
+     {"seed", "trials", "mults", "height"}),
+    (["limit-identities", "--s-max", "2", "--m-max", "2", "--i-max", "3",
+      "--j-max", "3"], {"s_max", "m_max", "i_max", "j_max"}),
+    (["limit-dimension", "--height", "5"],
+     {"seed", "s", "ii", "jj", "degree", "height"})],
+    ids=["semicontinuity", "limit-identities", "limit-dimension"])
+def test_experiment_config_echoes_only_the_kind_options(capsys, argv,
+                                                        options):
+    code, rep = run_cli(capsys, "experiment", *argv)
+    assert code == 0
+    assert set(rep["config"]) == {"command", "kind"} | options
 
 
 def test_an_empty_list_value_is_the_empty_list():
@@ -331,14 +379,6 @@ def test_experiment_limit_dimension_negative_count_is_an_error(capsys):
     assert "negative count" in rep["error"] and "results" not in rep
 
 
-def test_out_file(capsys, tmp_path):
-    path = tmp_path / "report.json"
-    code = main(["--out", str(path), "length", "--in", fixture("d7.json")])
-    capsys.readouterr()
-    assert code == 0
-    assert json.loads(path.read_text())["results"]["length"] == 20
-
-
 def test_error_report_carries_timings(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"chains": [1]}')
@@ -349,36 +389,6 @@ def test_error_report_carries_timings(capsys, tmp_path):
     assert rep["command"] == "length" and rep["verdict"] == "error"
     assert rep["error"].startswith("$.chains[0]")
     assert rep["timings"]["elapsed_s"] >= 0
-
-
-def test_error_report_honours_format_and_out(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"chains": [1]}')
-    out = tmp_path / "o.json"
-    code = main(["--format", "text", "--out", str(out), "length", "--in",
-                 str(bad)])
-    text = capsys.readouterr().out
-    assert code == 2
-    assert text.startswith("nearpoints length: error\n")
-    assert "error: $.chains[0]" in text
-    assert out.read_text() == text
-    code = main(["--out", str(out), "length", "--in", str(bad)])
-    assert code == 2
-    assert json.loads(out.read_text())["verdict"] == "error"
-    assert json.loads(capsys.readouterr().out)["verdict"] == "error"
-
-
-
-def test_unwritable_out_is_an_error_report(capsys, tmp_path):
-    out = tmp_path / "missing" / "o.json"
-    code = main(["--out", str(out), "length", "--in", fixture("d7.json")])
-    rep = json.loads(capsys.readouterr().out)
-    assert code == 2 and not out.exists()
-    assert list(rep) == ["tool", "version", "command", "error", "verdict",
-                         "timings"]
-    assert rep["verdict"] == "error"
-    assert rep["error"].startswith("cannot write --out: ")
-    assert str(out) in rep["error"]
 
 
 # A child that cannot import sympy: every command that does not need the
@@ -483,12 +493,6 @@ def test_commands_run_without_sympy(tmp_path):
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["verdict"] == ("ok" if code == 0
                                                       else "fail")
-
-def test_text_format(capsys):
-    code = main(["--format", "text", "length", "--in", fixture("d7.json")])
-    out = capsys.readouterr().out
-    assert code == 0 and "length: 20" in out
-
 
 @pytest.mark.parametrize("argv", [
     ["unload", "--in", fixture("d7.json"), "--trace"],

@@ -306,6 +306,17 @@ def test_sandwiched_ideal_point_on_a_u4_chain():
     assert sandwiched_ideal_point(ec, m1, i, j, I) == ("free", Fraction(3, 7))
 
 
+def test_sandwiched_ideal_point_at_the_older_corner():
+    # U_3 ends in a satellite (extras (None, None, 0)): lambda = 0 at its
+    # last point is the corner with the older divisor, the satellite of 0
+    for seed in range(6):
+        ec = _us_embedding(3, system(2, 0, 2), seed)
+        assert ec.extras == (None, None, 0)
+        I = ideal_subspace(ec.extend_satellite(0).with_mults(system(2, 0, 3)),
+                           7)
+        assert sandwiched_ideal_point(ec, 2, 0, 2, I) == ("satellite", 0)
+
+
 def test_sandwiched_ideal_point_from_ideal_closure():
     # build the middle ideal bottom-up: the larger scheme's ideal plus all
     # truncated multiples of one germ picked from the gap

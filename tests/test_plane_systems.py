@@ -280,6 +280,14 @@ def test_level_split_tacnode():
     assert m_plus == (2, 2, 1, 1, 1, 1)
 
 
+def test_level_split_of_the_empty_system_is_a_value_error():
+    # (0, 2^0, 1^0) is consistent in every U_s but has no level
+    for s in (1, 2):
+        assert us_consistent(s, 0, 0, 0)
+        with pytest.raises(ValueError, match="empty system"):
+            level_split(0, 0, 0, s)
+
+
 def test_negative_counts_are_rejected():
     # a negative i or j would become an empty run of 2s or 1s in the system
     with pytest.raises(ValueError, match="negative count"):
