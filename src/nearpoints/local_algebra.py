@@ -31,19 +31,18 @@ transform exact on everything that still matters.  Arithmetic is exact
 throughout.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import linalg
 from .clusters import (WeightedCluster, check_valid, matches_stratum,
-                       satellite_targets, single_chain, system)
+                       record, satellite_targets, single_chain, system)
 from .polyops import (monomials, monomial_index, p_clean, p_min_deg,
                       p_translate, vector_of)
 from .sampling import DEFAULT_HEIGHT, rand_fraction
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddedCluster:
     """A weighted single-chain cluster with exact coordinates.
 
@@ -225,7 +224,7 @@ def _emit_conditions(ec, init_state):
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class ConditionMatrix:
     """Linear conditions on polynomials of degree <= max_deg: one sparse
     integer row (col index -> value) per condition, over the columns
@@ -281,7 +280,7 @@ def colength(ec):
     return local_conditions(ec).rank()
 
 
-@dataclass(frozen=True)
+@record
 class IdealSubspace:
     """The ideal of a cluster scheme, truncated in degree.
 

@@ -21,11 +21,9 @@ is built.  Only a shortfall there (superabundance above the level floor)
 builds the matrix at the top audited degree as well.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
-from .clusters import (WeightedCluster, free_chain, is_consistent, system,
-                       us_chain)
+from .clusters import (WeightedCluster, free_chain, is_consistent, record,
+                       system, us_chain)
 from .local_algebra import (ConditionMatrix, _emit_conditions, embed,
                             track_bounds)
 from .polyops import monomials, translated_monomials
@@ -33,7 +31,7 @@ from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 from .unloading import length, unload
 
 
-@dataclass(frozen=True)
+@record
 class SchemeUnion:
     """Embedded cluster schemes at pairwise distinct plane points."""
 

@@ -46,7 +46,9 @@ def specialize_to_satellite(ec, i, target=None):
 
 def semicontinuity_experiment(mults, trials=20, seed=0, height=DEFAULT_HEIGHT):
     """Sample free embedded clusters and one satellite specialization each;
-    the specialized scheme must never be longer."""
+    the specialized scheme must never be longer.  A system with no
+    positive multiplicity imposes no condition, so every run would compare
+    0 with 0: that is a ValueError, like fewer than three points."""
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     mults = tuple(mults)
@@ -54,6 +56,9 @@ def semicontinuity_experiment(mults, trials=20, seed=0, height=DEFAULT_HEIGHT):
     if r < 3:
         raise ValueError("no satellite position on %d points: need at "
                          "least 3" % r)
+    if max(mults) < 1:
+        raise ValueError("nothing to check: no positive multiplicity in %r"
+                         % (mults,))
     runs = []
     ok = True
     for t in range(trials):

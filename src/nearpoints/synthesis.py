@@ -15,11 +15,10 @@ fails.  This module does not import sympy; `locus` does, on the first
 resultant locus.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .clusters import WeightedCluster, free_chain, single_chain
+from .clusters import WeightedCluster, free_chain, record, single_chain
 from .local_algebra import embed, strict_transforms, to_local
 from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, condition_matrix
@@ -29,7 +28,7 @@ from .polyops import (monomial_key, monomials, p_clean, p_form, p_min_deg,
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 
 
-@dataclass(frozen=True)
+@record
 class SingularitySpec:
     """Orders of the prescribed singularities: a tacnode of order t is t
     free double points in a row (order 1 is a node); a cusp of order n is
@@ -57,7 +56,7 @@ class SingularitySpec:
                 + sum(2 * n for n in self.cusps))
 
 
-@dataclass(frozen=True)
+@record
 class PlaneCurve:
     """Exact affine plane curve of degree <= d."""
 
@@ -208,7 +207,7 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     raise RuntimeError("could not reach general position: %s" % last_err)
 
 
-@dataclass(frozen=True)
+@record
 class SharpnessCertificate:
     """Result of the blowup audit of one curve against one cluster."""
 

@@ -7,16 +7,15 @@ the same cluster scheme; the scheme's length is then read off the consistent
 representative.
 """
 
-from dataclasses import dataclass
-
-from .clusters import WeightedCluster, excesses, proximate_to, check_valid
+from .clusters import (WeightedCluster, check_valid, excesses, proximate_to,
+                       record)
 
 # Unloading terminates on every genuine multiplicity system; the cap only
 # guards against bugs and pathological negative inputs.
 _MAX_STEPS = 100000
 
 
-@dataclass(frozen=True)
+@record
 class UnloadingTrace:
     """Record of one unloading run: (index, amount, before, after) per step
     plus the final consistent weighted cluster."""

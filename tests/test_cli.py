@@ -118,6 +118,8 @@ def test_maxrank_without_degrees_is_an_error(capsys):
     ["semicontinuity", "--trials", "-3"],
     ["semicontinuity", "--trials", "0"],
     ["semicontinuity", "--mults", "4"],
+    ["semicontinuity", "--mults", "0,0,0", "--trials", "1"],
+    ["semicontinuity", "--mults", "0,-1,0", "--trials", "1"],
     ["limit-identities", "--s-max", "1"],
     ["limit-identities", "--m-max", "-1"],
     ["limit-identities", "--i-max", "-1"],
@@ -466,6 +468,9 @@ def test_cold_start_does_not_import_sympy(tmp_path):
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert not any(m == "sympy" or m.startswith("sympy.")
                        for m in loaded), argv
+        # records are `clusters.record`s: `dataclasses` would pull in
+        # `inspect`, `ast`, `dis` and `tokenize` at every cold start
+        assert "dataclasses" not in loaded, argv
         ours = {m for m in loaded if m.split(".")[0] == "nearpoints"}
         if barred is None:
             assert ours <= CLI_CORE, (argv, sorted(ours - CLI_CORE))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 
@@ -7,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_weighted_chain
 from nearpoints.clusters import WeightedCluster, free_chain, system, us_chain
-from nearpoints.local_algebra import (_emit_conditions, embed, ideal_subspace,
-                                      local_conditions, required_truncation,
-                                      track_bounds)
+from nearpoints.local_algebra import (ConditionMatrix, _emit_conditions,
+                                      embed, ideal_subspace, local_conditions,
+                                      required_truncation, track_bounds)
 from nearpoints import linalg, plane_systems
 from nearpoints.linalg import integral
 from nearpoints.polyops import (monomials, p_clean, p_translate,
@@ -66,7 +65,9 @@ def test_local_conditions_are_the_plane_matrix_at_the_origin():
         for d in (need, need + 1, need + 3):
             mat = condition_matrix(SchemeUnion((ec,)), d)
             assert all(ci == 0 for ci, _, _ in mat.labels)
-            local = replace(mat, labels=tuple(lab[1:] for lab in mat.labels))
+            local = ConditionMatrix(mat.max_deg,
+                                    tuple(lab[1:] for lab in mat.labels),
+                                    mat.rows, mat.ncols)
             assert local == local_conditions(ec, d), (seed, d)
 
 
