@@ -31,28 +31,37 @@ at or past that width enters the exact elimination.
 
 The certificate works mod the Mersenne prime p = 2^31 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
-column key present, the smallest key lowest, with w >= 64 + bit_length(n)
-rounded up to whole bytes (9 bytes up to 255 rows).  Slots hold nonnegative
-representatives that are never reduced in place.  A pivot step reads the
-low slot of every row (r & (2^w - 1), then % p).  It folds the pivot row
-twice, slot by slot, with x -> (x mod 2^31) + (x >> 31), which keeps x mod p
-because 2^31 = 1 mod p; multiplies it by -1/v mod p for its pivot entry v;
-folds it once more; and replaces every other row r by (r >> w) + f * q,
-where f is the low slot of r and q the folded pivot row without its low
-slot.  So a pivot costs one multiply-add and one shift per row, whatever
-the number of columns.
+column key, the smallest key lowest, with w = 63 + bit_length(n) rounded up
+to whole bytes (9 bytes up to 511 rows), one bit more from 16,384 rows.
+Rows enter with nonnegative representatives below 2^32 in their slots,
+which are never reduced in place.  `_rank_mod` packs sparse integer rows
+as residues below p; `plane_systems` builds the rows of its max-rank
+certificate packed, every slot folded twice to below 2^32, and hands them
+to the same pivot loop, `_pivots_mod`.  A pivot step reads the low slot of
+every row (r & (2^w - 1), then % p).  It folds the pivot row twice, slot by
+slot, with x -> (x mod 2^31) + (x >> 31), which keeps x mod p because
+2^31 = 1 mod p; multiplies it by -1/v mod p for its pivot entry v; folds it
+once more; and replaces every other row r by (r >> w) + f * q, where f is
+the low slot of r and q the folded pivot row without its low slot.  So a
+pivot costs one multiply-add and one shift per row, whatever the number of
+columns.
 
-Exactness: two folds bring a slot below 2^31 + 2^(w - 62), so below 2^32
-while w <= 93; rounded up to whole bytes, 64 + bit_length(n) stays within
-that (w <= 88) for every n up to 2^24 - 1 = 16,777,215 rows.  The product
-with -1/v < 2^31 stays below 2^63 and the third fold brings it below 2^33,
-so with f < 2^31 one pivot adds less than 2^64 to a slot.  At most n - 1
-pivots reach a row, so every slot stays below 2^(64 + bit_length(n)) <= 2^w
-and never carries into its neighbour.  The packed rows are therefore the
-rows of the plain elimination mod p, slot for slot up to multiples of p,
-and the rank is the GF(p) rank.  The choice of prime only sets how often
-the rank mod p falls short of the rank over Q, which sends `rank` to
-`forward`; it never exceeds that rank, so every verdict stays certified.
+Exactness: a slot below 2^w folds below 2^31 + 2^(w - 31), then below
+2^31 + 2^(w - 62), which is at most 2^32 while w <= 93.  The product with
+-1/v <= 2^31 - 2 stays below 2^62 + 2^(w - 31), and the third fold brings
+it below 2^32 + 2^(w - 62), so with f < 2^31 one pivot adds less than
+2^63 + 2^(w - 31) to a slot (2^63 + 2^41 in a 9-byte slot).  A row enters
+with slots below 2^32 and meets at most n - 1 <= 2^b - 2 pivots,
+b = bit_length(n), so its slots stay below
+2^32 + (2^b - 2)(2^63 + 2^(w - 31)): below 2^(63 + b) when b + w <= 94,
+and below 2^(64 + b) when w <= 94.  So 63 + b bits rounded up to whole
+bytes serve while b <= 14 (n below 16,384; w <= 80), and 64 + b bits
+rounded up beyond, while w <= 88 (n below 2^24): no slot carries into a
+neighbour.  The packed rows are therefore the rows of the plain
+elimination mod p, slot for slot up to multiples of p, and the rank is the
+GF(p) rank.  The choice of prime only sets how often the rank mod p falls
+short of the rank over Q, which sends `rank` to `forward`; it never exceeds
+that rank, so every verdict stays certified.
 
 `forward` is the forward pass of integer Gauss-Jordan on sparse primitive
 rows (content 1): one primitive row per pivot column, reduced against the
@@ -112,37 +121,70 @@ def _to_sparse_int_rows(rows):
     return out
 
 
+def _slot_bytes(nrows):
+    """Bytes per slot of an nrows-row packed elimination: 63 +
+    bit_length(nrows) bits, one more from 2^14 rows, rounded up to whole
+    bytes; 9 up to 511 rows (see the module docstring)."""
+    b = nrows.bit_length()
+    return (63 + b + (b > 14) + 7) // 8
+
+
+def _packer(ncols, nbytes):
+    """The function packing an iterable of ncols values below 2^64 into one
+    int of nbytes-byte slots (nbytes >= 8), the first lowest."""
+    # a value fills the low 8 bytes of its slot, zeros the rest
+    pack = struct.Struct("<" + "Q%dx" % (nbytes - 8) * ncols).pack
+    return lambda vals: int.from_bytes(pack(*vals), "little")
+
+
+def _fold_masks(ncols, nbytes):
+    """The masks (lo31, hi) of the fold x -> (x & lo31) + ((x >> 31) & hi),
+    which maps every slot x of an int of ncols nbytes-byte slots to
+    (x mod 2^31) + (x >> 31) and so keeps it mod p = 2^31 - 1."""
+    # every slot's low 31 bits, and its low w - 31 bits
+    return (int.from_bytes(_P31.to_bytes(nbytes, "little") * ncols, "little"),
+            int.from_bytes(((1 << (8 * nbytes - 31)) - 1).to_bytes(
+                nbytes, "little") * ncols, "little"))
+
+
+def _folder(ncols, nbytes):
+    """The fold of `_fold_masks` as a function."""
+    lo31, hi = _fold_masks(ncols, nbytes)
+    return lambda x: (x & lo31) + ((x >> 31) & hi)
+
+
 def _rank_mod(rows):
     """Pivot columns over GF(p), p = 2^31 - 1, of sparse integer rows:
     the sorted column keys where elimination in key order finds a pivot,
     as many as the rank mod p.
 
-    Each row is packed into one int of w-bit slots, one slot per column
-    key present, and a pivot step clears a column with one multiply-add and
-    one shift per row; see the module docstring for why no slot ever
-    carries into the next."""
+    Each row is packed into one int of slots, one slot per column key
+    present, and `_pivots_mod` eliminates."""
     cols = sorted(set().union(*rows))
-    nrows, ncols = len(rows), len(cols)
-    if not nrows or not ncols:
+    if not rows or not cols:
         return []
     slots = {c: i for i, c in enumerate(cols)}
-    p = _P31
-    nbytes = (64 + nrows.bit_length() + 7) // 8
-    w = 8 * nbytes
-    low = (1 << w) - 1
-    # every slot's low 31 bits, and its low w - 31 bits
-    lo31 = int.from_bytes(p.to_bytes(nbytes, "little") * ncols, "little")
-    hi = int.from_bytes(((1 << (w - 31)) - 1).to_bytes(nbytes, "little")
-                        * ncols, "little")
-    # a residue < 2^31 fills the low 4 bytes of its slot, zeros the rest
-    pack = struct.Struct("<" + "I%dx" % (nbytes - 4) * ncols).pack
+    nbytes = _slot_bytes(len(rows))
+    pack = _packer(len(cols), nbytes)
     packed = []
     for r in rows:
-        vals = [0] * ncols
+        vals = [0] * len(cols)
         for c, v in r.items():
-            vals[slots[c]] = v % p
-        packed.append(int.from_bytes(pack(*vals), "little"))
-    rows = packed
+            vals[slots[c]] = v % _P31
+        packed.append(pack(vals))
+    return _pivots_mod(packed, cols, nbytes)
+
+
+def _pivots_mod(rows, cols, nbytes):
+    """The pivot columns mod p of rows packed in nbytes-byte slots, slot i
+    holding column cols[i] (sorted) and every slot below 2^32, with nbytes
+    at least `_slot_bytes(len(rows))`: a pivot step clears a column with
+    one multiply-add and one shift per row; see the module docstring for
+    why no slot ever carries into the next."""
+    p = _P31
+    w = 8 * nbytes
+    low = (1 << w) - 1
+    lo31, hi = _fold_masks(len(cols), nbytes)
     pivots = []
     for col in cols:
         lead = [(r & low) % p for r in rows]
@@ -161,7 +203,7 @@ def _rank_mod(rows):
         q = (q & lo31) + ((q >> 31) & hi)
         q = (q & lo31) + ((q >> 31) & hi)
         # times -1/v and folded: the pivot slot is = -1 mod p and every
-        # slot < 2^33, so f * q adds less than 2^64 to a slot
+        # slot < 2^32 + 2^(w - 62), so f * q adds less than 2^63 + 2^(w - 31)
         q *= p - pow(v, -1, p)
         q = (q & lo31) + ((q >> 31) & hi)
         rows = [(r + f * q) >> w for r, f in zip(rows, lead)]

@@ -13,13 +13,16 @@ after a satellite is the older-corner satellite, and `EmbeddedCluster`
 forbids it on a free point.
 
 `EmbeddedCluster.steps` gives the pair that reaches each point, and
-`_step_sparse` is the only place that carries one out.  It acts on a state
-that maps local monomials to integer column dicts over one running
+`_step_sparse` is the only place that carries one out exactly.  It acts on
+a state that maps local monomials to integer column dicts over one running
 denominator, and `_walk` carries a state along the chain.  Its callers
 differ only in the divisor m and in what they read at each point:
 
   condition rows (`_emit_conditions`): one column per germ coefficient,
       m the prescribed multiplicity;
+  condition rows mod p (`_emit_packed`): the same walk with
+      `_step_packed`, each state entry one packed int over the columns,
+      for the max-rank certificate of `plane_systems`;
   virtual transforms of a germ (`germ_transforms`): one column holding the
       germ's numerators, m the prescribed multiplicity;
   strict transforms of a germ (`strict_transforms`): one column, m the
@@ -28,7 +31,7 @@ differ only in the divisor m and in what they read at each point:
 Monomials whose x-exponent would go negative under the division are exactly
 the condition coefficients emitted at that point, so dropping them keeps the
 transform exact on everything that still matters.  Arithmetic is exact
-throughout.
+throughout, apart from the packed walk, which is exact mod p.
 """
 
 from fractions import Fraction
@@ -194,20 +197,45 @@ def _step_sparse(state, den, swap, lam, m_leave, keep_bound):
     return {e: vec for e, vec in new.items() if vec}, den * pq[0]
 
 
-def _walk(ec, state, den, bounds, divisor):
+def _step_packed(state, swap, lam, m_leave, keep_bound, fold):
+    """`_step_sparse` mod p = 2^31 - 1 on a state of packed rows (slots of
+    the `linalg._folder` fold, each below 2^32), with no denominator: one
+    multiply-add per (source, target) monomial, then two folds.  No
+    monomial is dropped, not even one whose row vanishes mod p, so bmax is
+    at least the exact step's and the new state is the exact one times an
+    integer, mod p (see `plane_systems._certified_pivots`)."""
+    P = linalg._P31
+    p, q = lam.numerator, lam.denominator
+    bmax = max((a if swap else b for (a, b) in state), default=0)
+    pq = [pow(p, k, P) * pow(q, bmax - k, P) % P for k in range(bmax + 1)]
+    new = {}
+    for (a, b), vec in state.items():
+        if swap:
+            a, b = b, a
+        base_a = a + b - m_leave
+        if base_a < 0:
+            continue
+        for l in range(b + 1) if p else (b,):
+            if base_a + l >= keep_bound:
+                break
+            e = (base_a, l)
+            new[e] = new.get(e, 0) + comb(b, l) * pq[b - l] % P * vec
+    return {e: fold(fold(vec)) for e, vec in new.items()}
+
+
+def _walk(ec, state, den, bounds, divisor, step=_step_sparse):
     """Carry a state along the chain, yielding (k, state, den) at each point
-    k.  The blowup leaving point k divides by x^divisor(k, state); it is
-    asked for once the caller has read point k.  bounds[k] truncates the
-    state arriving at point k."""
+    k.  The blowup leaving point k is step, `_step_sparse` by default, and
+    divides by x^divisor(k, state); it is asked for once the caller has
+    read point k.  bounds[k] truncates the state arriving at point k."""
     steps = ec.steps
-    state = {e: vec for e, vec in state.items()
-             if e[0] + e[1] < bounds[0] and vec}
+    state = {e: vec for e, vec in state.items() if e[0] + e[1] < bounds[0]}
     for k in range(ec.r):
         yield k, state, den
         if k + 1 < ec.r:
             swap, lam = steps[k + 1]
-            state, den = _step_sparse(state, den, swap, lam,
-                                      divisor(k, state), bounds[k + 1])
+            state, den = step(state, den, swap, lam, divisor(k, state),
+                              bounds[k + 1])
 
 
 def _emit_conditions(ec, init_state):
@@ -221,6 +249,22 @@ def _emit_conditions(ec, init_state):
             vec = state.get(e)
             rows.append((k, e,
                          linalg.primitive(vec, min(vec)) if vec else {}))
+    return rows
+
+
+def _emit_packed(ec, init_state, fold):
+    """`_emit_conditions` on a packed state, walked by `_step_packed`: the
+    packed row of every condition mod p, in walk order, a monomial missing
+    from the state as 0 and no row made primitive."""
+    mults = ec.mults
+
+    def step(state, _, *args):
+        return _step_packed(state, *args, fold), None
+
+    rows = []
+    for k, state, _ in _walk(ec, init_state, None, track_bounds(mults),
+                             lambda k, _: mults[k], step):
+        rows += [state.get(e, 0) for e in monomials(mults[k] - 1)]
     return rows
 
 

@@ -5,7 +5,6 @@ seed and a string label via sha256, so runs are reproducible across
 processes and platforms (no dependence on hash randomization).
 """
 
-import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,6 +13,9 @@ DEFAULT_HEIGHT = 100
 
 
 def rng_from(seed, *labels):
+    # imported on the first draw: hashlib loads OpenSSL, about 4 ms of a
+    # cold start that never draws
+    import hashlib
     digest = hashlib.sha256(
         ("nearpoints:%d:%s" % (int(seed), ":".join(map(str, labels)))).encode()
     ).digest()

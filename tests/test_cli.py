@@ -135,6 +135,20 @@ def test_experiment_on_an_empty_range_is_an_error(capsys, argv):
     assert "results" not in rep
 
 
+def test_maxrank_above_the_degree_limit_is_an_error(capsys):
+    # the degrees are never all listed: the audit stops at the first one
+    # past plane_systems.MAX_DEGREE (it used to end in a MemoryError
+    # traceback from list(range(10^11 + 1)))
+    from nearpoints.plane_systems import MAX_DEGREE
+    for top in (100000000000, MAX_DEGREE + 1):
+        code, rep = run_cli(capsys, "maxrank", "--in",
+                            fixture("five_doubles.json"),
+                            "--all-degrees-up-to", str(top))
+        assert code == 2 and rep["verdict"] == "error"
+        assert rep["error"] == ("degree %d above the audit limit %d"
+                                % (MAX_DEGREE + 1, MAX_DEGREE))
+
+
 def test_maxrank_error_on_missing_file(capsys):
     assert main(["maxrank", "--in", fixture("nope.json")]) == 2
     capsys.readouterr()
@@ -471,6 +485,9 @@ def test_cold_start_does_not_import_sympy(tmp_path):
         # records are `clusters.record`s: `dataclasses` would pull in
         # `inspect`, `ast`, `dis` and `tokenize` at every cold start
         assert "dataclasses" not in loaded, argv
+        # none of them draws: `sampling` imports hashlib (and OpenSSL) only
+        # in `rng_from`
+        assert "hashlib" not in loaded, argv
         ours = {m for m in loaded if m.split(".")[0] == "nearpoints"}
         if barred is None:
             assert ours <= CLI_CORE, (argv, sorted(ours - CLI_CORE))

@@ -486,17 +486,21 @@ def test_rank_mod_reads_columns_off_sparse_keys(mat_n, data):
 
 def test_rank_mod_at_the_slot_width_bound():
     # n rows of residues within 2^21 of p - 1: every pivot reaches every
-    # later row, so the slots grow towards the 2^(64 + bit_length(n))
-    # bound (to about 2^68.7 on these matrices).  At n = 255 that bound is
-    # 72 bits and fills a 9-byte slot exactly; at n = 256 it is 73 bits
-    # and the slot widens to 10 bytes.
-    # In one matrix ten rows are sums of two earlier rows, so its rank is
-    # n - 10 over Q and the elimination runs past the rank; a full-rank
-    # n x n matrix drives a pivot into all n - 1 later rows and ends on the
-    # last pivot with no row left.  The pivots are those of the 2^61 - 1
-    # reference (per-cell elimination takes 1.6 s a matrix at this size).
+    # later row, so the slots grow towards the 2^(63 + bit_length(n))
+    # bound (about 2^62 a pivot).  At n = 511 that bound is 72 bits and
+    # fills a 9-byte slot exactly; at n = 512 it is 73 bits and the slot
+    # widens to 10 bytes.
+    # In one matrix ten rows are sums of two others, so its rank is n - 10
+    # over Q and the elimination runs past the rank: a slot that carries
+    # into its neighbour leaves a dependent row nonzero, and with 8-byte
+    # slots the kernel finds all 511 pivots at n = 511.  A full-rank n x n
+    # matrix drives a pivot into all n - 1 later rows and ends on the last
+    # pivot with no row left.  The pivots are those of the 2^61 - 1
+    # reference (1.7 s a matrix at this size, so it is not rerun here).
     import random
-    for n in (255, 256):
+    assert [linalg._slot_bytes(n) for n in (255, 256, 511, 512)] \
+        == [9, 9, 9, 10]
+    for n in (511, 512):
         rng = random.Random(n)
         mat = [[rng.randrange(P31 - (1 << 20), P31) for _ in range(n)]
                for _ in range(n - 10)]
@@ -504,32 +508,36 @@ def test_rank_mod_at_the_slot_width_bound():
             a, b = rng.sample(mat, 2)
             mat.insert(rng.randrange(len(mat) + 1),
                        [x + y for x, y in zip(a, b)])
-        short = [dict(enumerate(r)) for r in mat]
-        assert linalg._rank_mod(short) == rank_mod_p61(short)
-        assert len(rank_mod_p61(short)) == n - 10
+        assert linalg._rank_mod([dict(enumerate(r)) for r in mat]) \
+            == list(range(n - 10))
         full = [dict(enumerate(rng.randrange(P31 - (1 << 20), P31)
                                for _ in range(n))) for _ in range(n)]
-        assert linalg._rank_mod(full) == rank_mod_p61(full) == list(range(n))
+        assert linalg._rank_mod(full) == list(range(n))
 
 
 def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
     # every matrix that the criterion-3 sweep and its exceptional families
-    # (at the seeds seed 0 of the max-rank benchmark uses) rank, or pass
-    # to `forward` when the rank falls short, and the condition matrix of
-    # each criterion-4 spec's synthesis: the kernel's pivots are the exact
-    # pivots over Q.  The Tjurina Macaulay matrices of those curves are too
-    # large for an exact pass; there the kernel's pivots are those of the
-    # 2^61 - 1 reference.
+    # (at the seeds seed 0 of the max-rank benchmark uses) rank, certify
+    # packed, or pass to `forward` when the rank falls short, and the
+    # condition matrix of each criterion-4 spec's synthesis: the kernel's
+    # pivots, and the packed certificate's, are the exact pivots over Q.
+    # The Tjurina Macaulay matrices of those curves are too large for an
+    # exact pass; there the kernel's pivots are those of the 2^61 - 1
+    # reference.
     from test_acceptance import PIPELINE_SPECS, _rang_parameter_sets
-    from nearpoints import locus
-    from nearpoints.plane_systems import max_rank_generic
+    from nearpoints import locus, plane_systems
+    from nearpoints.plane_systems import condition_matrix, max_rank_generic
     from nearpoints.synthesis import min_degree, synthesize
     rank_mod, forward = linalg._rank_mod, linalg.forward
-    ranked, solved = [], []
+    certify = plane_systems._certified_pivots
+    ranked, solved, certified = [], [], []
     monkeypatch.setattr(linalg, "_rank_mod",
                         lambda rows: ranked.append(rows) or rank_mod(rows))
     monkeypatch.setattr(linalg, "forward",
                         lambda rows: solved.append(rows) or forward(rows))
+    monkeypatch.setattr(plane_systems, "_certified_pivots",
+                        lambda *args: certified.append(args)
+                        or certify(*args))
     for trial, _, _, _, comps in _rang_parameter_sets(50):
         max_rank_generic(comps, seed=trial)
     for seed, families in ((101, ([(2,)] * 5, [(2, 2, 2, 2, 2)],
@@ -545,6 +553,10 @@ def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
     for curve, spec in curves:
         locus.tjurina_certificate(curve.coeffs, spec.tjurina)
     monkeypatch.undo()
+    for Z, d, nrows in certified:
+        rows = condition_matrix(Z, d).rows
+        assert certify(Z, d, nrows) == sorted(forward(rows))
+        condition.append(rows)
     assert len(condition) >= 80 and len(ranked) == len(PIPELINE_SPECS)
     for rows in condition:
         assert rank_mod(rows) == sorted(forward(rows))

@@ -167,13 +167,12 @@ def _first_full(rep):
     return min(over, default=max(rep["degrees"]))
 
 
-def test_max_rank_matches_the_per_degree_audit(monkeypatch):
-    # default window: one matrix, at the first degree with more columns
-    # than rows, unless the rank falls short there; then also the top one
+def _audited_unions():
+    """(union, exact builds max_rank makes, expected verdict or None when
+    not asserted): the criterion-3 sets, the two exceptional families and
+    the catalog, at the seeds of their tests."""
     from test_acceptance import _rang_parameter_sets
-    built = _recording_builds(monkeypatch)
-    # (union, degrees built, expected verdict or None when not asserted)
-    unions = [(generic_union(comps, seed=trial), 1, None)
+    unions = [(generic_union(comps, seed=trial), 0, None)
               for trial, m, sum_i, sum_j, comps in _rang_parameter_sets(50)]
     # the two exceptional families, defective at degrees 4 and 6
     families = ([[(2,)] * 5, [(2, 2, 2, 2, 2)], [(2, 2), (2,), (2,), (2,)]],
@@ -186,12 +185,25 @@ def test_max_rank_matches_the_per_degree_audit(monkeypatch):
                               rng_from(0, label).randrange(2**32)),
                 2 if label in ("(3,2)", "(4,2)", "(5,2)") else 1, False)
                for label, systems, _ in EXCEPTION_SYSTEMS]
-    for Z, nbuilds, ok in unions:
+    return unions
+
+
+def test_max_rank_matches_the_per_degree_audit(monkeypatch):
+    # default window: the certificate at the first degree with more columns
+    # than rows, and an exact matrix only when its count falls short there
+    # or below, at the widest such degree; when the rank falls short at the
+    # first degree, also the top one
+    built = _recording_builds(monkeypatch)
+    for Z, nbuilds, ok in _audited_unions():
         del built[:]
         rep = max_rank(Z)
         first = _first_full(rep)
         assert first < max(rep["degrees"])
-        assert built == [first, max(rep["degrees"])][:nbuilds]
+        short = max((row["degree"] for row in rep["detail"]
+                     if row["defect"] and row["degree"] <= first),
+                    default=None)
+        assert built == [short, max(rep["degrees"])][:nbuilds]
+        assert rep["ok"] == (nbuilds == 0)
         assert ok is None or rep["ok"] == ok
         assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
         full = max_rank(Z, range(9))
@@ -199,15 +211,54 @@ def test_max_rank_matches_the_per_degree_audit(monkeypatch):
 
 
 def test_max_rank_wide_window_builds_one_matrix(monkeypatch):
-    # five doubles reach full rank 15 in degree 5; no column past it is built
-    Z = generic_union([(2,)] * 5, 101)
+    # four doubles have maximal rank: the certificate decides every degree
+    # and no exact matrix is built
     built = _recording_builds(monkeypatch)
+    Z = generic_union([(2,)] * 4, 101)
     rep = max_rank(Z, range(60))
-    assert built == [5]
+    assert rep["ok"] and built == []
+    assert rep["detail"][:9] == per_degree_detail(Z, range(9))
+    # five doubles fall short in degree 4 and reach full rank 15 in degree
+    # 5: one exact matrix, at 4, and no column past degree 5 is built
+    Z = generic_union([(2,)] * 5, 101)
+    rep = max_rank(Z, range(60))
+    assert built == [4]
     assert rep["detail"][:9] == per_degree_detail(Z, range(9))
     for row in rep["detail"][9:]:
         ncols = (row["degree"] + 1) * (row["degree"] + 2) // 2
         assert row["defect"] == 0 and row["actual"] == ncols - 16
+
+
+def _certificate_matches_the_exact_rows(Zn, d):
+    """The certificate's pivots are those of the exact rows mod p."""
+    mat = condition_matrix(Zn, d)
+    assert len(mat.rows) == Zn.total_length
+    assert (plane_systems._certified_pivots(Zn, d, len(mat.rows))
+            == linalg._rank_mod(mat.rows))
+
+
+def test_certificate_pivots_match_the_exact_rows():
+    # at each union's first degree with more columns than rows, where
+    # max_rank takes the certificate, and one degree below it
+    for Z, _, _ in _audited_unions():
+        Zn = Z.normalized()
+        first = level_floor(Zn.total_length) + 1
+        for d in (first - 1, first):
+            _certificate_matches_the_exact_rows(Zn, d)
+
+
+def test_a_short_certificate_falls_back_to_the_exact_rank(monkeypatch):
+    # a packed pivot loop that loses a pivot sends every audited degree it
+    # decides to the exact rows; the report does not change
+    pivots_mod = linalg._pivots_mod
+    monkeypatch.setattr(linalg, "_pivots_mod",
+                        lambda *args: pivots_mod(*args)[:-1])
+    built = _recording_builds(monkeypatch)
+    for Z, _, _ in _audited_unions()[::7]:
+        del built[:]
+        rep = max_rank(Z)
+        assert built[:1] == [_first_full(rep)]
+        assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
 
 
 def test_max_rank_generic_keeps_the_better_draw(monkeypatch):
@@ -477,6 +528,58 @@ def test_condition_matrix_matches_fraction_oracle(Z, d):
             labels.append((ci, k, e))
     assert mat.rows == tuple(rows)
     assert mat.labels == tuple(labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_unions(), st.integers(0, 7))
+def test_certificate_pivots_match_the_exact_rows_off_integer_points(Z, d):
+    # nonzero shears and fractional bases, as a union file may give them
+    _certificate_matches_the_exact_rows(Z.normalized(), d)
+
+
+P31 = (1 << 31) - 1
+
+
+def _packed_translation(ec, d, bound, nrows):
+    """`_translated_packed` of ec as {local monomial: slots mod p}."""
+    ncols = (d + 1) * (d + 2) // 2
+    nbytes = linalg._slot_bytes(nrows)
+    state = plane_systems._translated_packed(
+        ec, d, bound, linalg._packer(ncols, nbytes),
+        linalg._folder(ncols, nbytes))
+    w = 8 * nbytes
+    return {e: [(row >> (w * c) & ((1 << w) - 1)) % P31
+                for c in range(ncols)] for e, row in state.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_unions(), st.integers(0, 7), st.integers(1, 12),
+       st.integers(0, 600))
+def test_packed_translation_is_the_exact_one_mod_p(Z, d, bound, extra):
+    # D^(a+b) X^a Y^b mod p, D the common denominator, is the packed
+    # column of X^a Y^b times D^(a+b); every local monomial below the
+    # bound and up to degree d has a row, zero or not.  The slots are
+    # those of at least bound rows, as in `_certified_pivots`.
+    ec = Z.components[0]
+    D, images = translated_monomials(ec.base[0], ec.base[1], ec.shear, d,
+                                     bound)
+    got = _packed_translation(ec, d, bound, bound + extra)
+    assert set(got) == {(i, j) for i in range(d + 1) for j in range(d + 1)
+                        if i + j < min(bound, d + 1)}
+    for col, (a, b) in enumerate(monomials(d)):
+        scale = pow(D, a + b, P31)
+        for e, row in got.items():
+            assert row[col] * scale % P31 == images[(a, b)].get(e, 0) % P31
+
+
+def test_a_denominator_divisible_by_p_gives_zero_rows():
+    ec = embed(WeightedCluster(free_chain(2), (2, 1)), lambdas=(None, 3),
+               base=(Fraction(1, P31), 0))
+    rows = _packed_translation(ec, 3, 3, 4)
+    assert len(rows) == 6 and not any(map(any, rows.values()))
+    Z = SchemeUnion((ec,))
+    rep = max_rank(Z, [1, 2, 3])
+    assert rep["detail"] == per_degree_detail(Z, [1, 2, 3])
 
 
 @settings(max_examples=30, deadline=None)
