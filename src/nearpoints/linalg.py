@@ -16,19 +16,6 @@ only a matrix whose mod-p rank falls short of it, which includes every
 rank-deficient one, is counted exactly by `forward`, the one exact
 elimination in the package.
 
-Both eliminations walk the columns in key order, so each returns its pivot
-columns, and the rank of a column prefix (the columns c < w) is the number
-of pivots below w: the rows leading below w stay independent when cut to
-the prefix, and the others vanish there.  So `rank(rows, widths)` gives
-every prefix's rank from one mod-p elimination and at most one forward
-pass.  Each prefix is certified on its own: its mod-p pivot count is the
-rank mod p of the cut rows, which is at most their rank over Q, which is
-at most min(rows, columns below w); a count that meets that bound is
-exact.  Only a prefix whose count falls short reads its pivots off the
-forward pass, run once for all such prefixes, on the rows cut below the
-widest of them: a prefix's rank reads only its own columns, so no column
-at or past that width enters the exact elimination.
-
 The certificate works mod the Mersenne prime p = 2^31 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
 column key, the smallest key lowest, with w = 63 + bit_length(n) rounded up
@@ -75,7 +62,6 @@ two.
 """
 
 import struct
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -253,40 +239,16 @@ def _rank_bareiss(rows):
     return sorted(forward(rows))
 
 
-def _below(keys, width):
-    """How many of the sorted keys lie below width (all when it is None)."""
-    return len(keys) if width is None else bisect_left(keys, width)
-
-
-def rank(rows, widths=None):
+def rank(rows):
     """Exact rank of a matrix with int or Fraction entries, given as dict
     rows (sparse, col -> value) or dense sequences and made sparse integer
     rows: the packed mod-p rank, then the pivot count of `forward` when the
-    mod-p rank falls short of min(rows, cols).
-
-    Given a list of widths, returns instead the exact rank of each column
-    prefix, the columns c < w for each w in widths: its mod-p pivots where
-    they meet the prefix's bound, otherwise those of one forward pass that
-    all the short prefixes share, on the columns below the widest of them.
-    """
+    mod-p rank falls short of min(rows, cols)."""
     rows = _to_sparse_int_rows(rows)
-    pivots = _rank_mod(rows)
-    cols = sorted(set().union(*rows))
-    bounds = [None] if widths is None else list(widths)
-    out = [_below(pivots, w) for w in bounds]
-    short = [i for i, w in enumerate(bounds)
-             if out[i] < min(len(rows), _below(cols, w))]
-    if short:
-        cut = [bounds[i] for i in short]
-        if None not in cut:
-            # a prefix's rank reads only its own columns
-            wide = max(cut)
-            rows = [{c: v for c, v in row.items() if c < wide}
-                    for row in rows]
-        exact = _rank_bareiss(rows)
-        for i in short:
-            out[i] = _below(exact, bounds[i])
-    return out[0] if widths is None else out
+    have = len(_rank_mod(rows))
+    if have < min(len(rows), len(set().union(*rows))):
+        have = len(_rank_bareiss(rows))
+    return have
 
 
 def echelon(rows, ncols):

@@ -22,7 +22,10 @@ differ only in the divisor m and in what they read at each point:
       m the prescribed multiplicity;
   condition rows mod p (`_emit_packed`): the same walk with
       `_step_packed`, each state entry one packed int over the columns,
-      for the max-rank certificate of `plane_systems`;
+      for the max-rank certificate of `plane_systems` (the two steps stay
+      apart: one (source, target, coefficient) term plan shared by both
+      made the `local_ideals` benchmark 7.6% slower in wall time, median
+      0.0900 s to 0.0969 s over 8 pairs);
   virtual transforms of a germ (`germ_transforms`): one column holding the
       germ's numerators, m the prescribed multiplicity;
   strict transforms of a germ (`strict_transforms`): one column, m the

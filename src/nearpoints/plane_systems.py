@@ -14,23 +14,30 @@ D^(e-a-b), which is D^(e-d) times its factor in degree d; the common factor
 goes when the row is made primitive.  So the rank in degree d is the rank
 of a column prefix of any higher-degree matrix: it never falls as d grows,
 and it never passes the row count, which is the length L of the normalized
-union.  `max_rank` takes one matrix, at the first audited degree with more
-than L columns, and reads every audited degree up to it off its prefixes;
-full rank L there is full rank in every degree above, so no column past it
-is built.  Only a shortfall there (superabundance above the level floor)
-builds the matrix at the top audited degree as well.
+union.
 
-The matrix `max_rank` takes first is a certificate, built mod the prime
-p = 2^31 - 1 directly as the packed rows of the `linalg` rank kernel:
-`_translated_packed` translates mod p, `local_algebra._emit_packed` walks
-the blowups mod p, and `linalg._pivots_mod` eliminates.  The rank mod p of
-a column prefix never exceeds its rank over Q (see `_certified_pivots`),
-so a pivot count that reaches min(L, columns) is exact.  Only a count that
-falls short builds an exact matrix, by `condition_matrix`, at the widest
-audited degree whose count falls short, and takes the exact pivots of
-`linalg._rank_bareiss` on it for every such degree.
+Both `linalg` eliminations, `_pivots_mod` and `_rank_bareiss`, walk the
+columns in order and return their pivot columns, and the rank of a column
+prefix, the columns c < w, is the number of pivots below w: the rows
+leading below w stay independent when cut to the prefix, and the others
+vanish there.  So one elimination gives the rank of every degree up to its
+own, and the exact one is taken on the narrowest matrix that needs it.
+
+`max_rank` certifies first: the matrix at `first`, the first audited
+degree with more than L columns, built mod the prime p = 2^31 - 1 directly
+as the packed rows of the `linalg` rank kernel (`_translated_packed`
+translates mod p, `local_algebra._emit_packed` walks the blowups mod p,
+and `linalg._pivots_mod` eliminates).  The rank mod p of a column prefix
+never exceeds its rank over Q (see `_certified_pivots`), so a pivot count
+below a degree's width that reaches min(L, columns) is exact, and a count
+of L settles every degree above.  A count short of L at `first`
+(superabundance above the level floor) takes the packed certificate once
+more, at the top audited degree.  Whatever degrees it leaves short take
+one exact matrix, by `condition_matrix`, at the widest of them, and read
+their ranks off the pivots of `linalg._rank_bareiss`.
 """
 
+from bisect import bisect_left
 from math import comb
 from operator import mul
 
@@ -203,10 +210,12 @@ def expected_dimension(Z, d):
 # (d+1)(d+2)/2 columns, 20,301 at the limit, and the report one entry per
 # audited degree, so the limit bounds both, whatever degrees are asked for.
 # Auditing every degree up to it took, on a 2-vCPU x86 VM with Python
-# 3.11: 0.07 s for the cold `maxrank` on tests/fixtures/five_doubles.json,
-# whose certificate reaches full rank at degree 5; and 0.8 s at a 117 MiB
-# peak for the catalog's superabundant (5,2), length 18, whose shortfall
-# builds the exact degree-200 matrix (that cost grows with the length).
+# 3.11, medians: 0.10 s for the cold `maxrank` on
+# tests/fixtures/five_doubles.json, whose certificate reaches full rank at
+# degree 5, at a 16 MiB peak; and 0.15 s at a 32 MiB peak (15 MiB of it
+# the interpreter and imports) for the catalog's superabundant (5,2),
+# length 18, whose shortfall at degree 5 takes the packed certificate at
+# degree 200 and the exact matrix at degree 5 only.
 MAX_DEGREE = 200
 
 
@@ -230,15 +239,14 @@ def max_rank(Z, degrees=None):
 
     Every degree must lie in 0..MAX_DEGREE.
 
-    The ranks are read at `first`, the smallest audited degree with more
-    columns than rows (the top degree when there is none), off the column
-    prefixes of its matrix.  `_certified_pivots` counts them mod p from rows
-    built packed, and a count equal to min(L, columns) is exact.  Only when
-    a count falls short is an exact `condition_matrix` built, at the widest
-    degree that falls short, and its exact pivots (`linalg._rank_bareiss`)
-    give the rank of every degree that does.  Full row rank at `first` is
-    the rank of every degree above it; a shortfall there builds the exact
-    top-degree matrix for the degrees above `first`.  The expected
+    The ranks are read off column prefixes (see the module docstring):
+    `_certified_pivots` counts them mod p at `first`, the smallest audited
+    degree with more columns than rows (the top degree when there is none),
+    and once more at the top degree when the count at `first` falls short
+    of the length L.  A count equal to min(L, columns) is exact, and a
+    count of L is the rank of every degree above.  The degrees left short
+    take one exact `condition_matrix`, at the widest of them, whose exact
+    pivots (`linalg._rank_bareiss`) give the rank of each.  The expected
     dimension is read off the same length, with no second unloading.
     """
     Zn = Z.normalized()
@@ -261,23 +269,16 @@ def max_rank(Z, degrees=None):
     # module docstring)
     top = max(degrees)
     first = min((d for d in degrees if _ncols(d) > L), default=top)
-    low = [d for d in degrees if d <= first]
     pivots = _certified_pivots(Zn, first, L)
-    have = {d: linalg._below(pivots, _ncols(d)) for d in low}
-    short = [d for d in low if have[d] < min(L, _ncols(d))]
+    if len(pivots) < L and first < top:
+        pivots = _certified_pivots(Zn, top, L)
+    # a degree above the certified one comes only after a count of L, and
+    # its width passes every pivot
+    have = {d: bisect_left(pivots, _ncols(d)) for d in degrees}
+    short = [d for d in degrees if have[d] < min(L, _ncols(d))]
     if short:
-        # a degree's rank is a prefix rank, so the exact pivots of the
-        # widest short degree serve every short degree
         exact = linalg._rank_bareiss(condition_matrix(Zn, max(short)).rows)
-        have.update((d, linalg._below(exact, _ncols(d))) for d in short)
-    high = [d for d in degrees if d > first]
-    if have[first] == L:
-        have.update(dict.fromkeys(high, L))
-    elif high:
-        # superabundant at `first`: the degrees above need their columns
-        mat = condition_matrix(Zn, top)
-        have.update(zip(high, linalg.rank(mat.rows,
-                                          [_ncols(d) for d in high])))
+        have.update((d, bisect_left(exact, _ncols(d))) for d in short)
     detail = []
     for d in degrees:
         ncols = _ncols(d)

@@ -1,4 +1,5 @@
 import struct
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -188,12 +189,14 @@ def test_forward_pass_rank_matches_bareiss(m, n, data):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 10), st.integers(2, 10), st.data())
 def test_prefix_ranks_match_truncated_matrices(m, n, data):
-    # rank(rows, widths) against the rank of each column-truncated matrix,
-    # for every width 0..n in shuffled order: rows of a product B @ C whose
-    # inner dimension k falls below both sides, so the wide prefixes fall
-    # short of their bound and share one forward pass; some zero entries
-    # stored, and a few singleton rows mixed in.  Or a matrix of singleton
-    # rows only, some on one column, some a stored zero, some empty
+    # the rank of a column prefix, the columns c < w, is the number of
+    # pivots below w: exactly for the pivots of the exact elimination, and
+    # at most for those mod p, against the brute rank of each
+    # column-truncated matrix, for every width 0..n: rows of a product
+    # B @ C whose inner dimension k falls below both sides, so the wide
+    # prefixes are rank-deficient; some zero entries stored, and a few
+    # singleton rows mixed in.  Or a matrix of singleton rows only, some on
+    # one column, some a stored zero, some empty
     singleton = st.tuples(st.integers(0, n - 1), st.integers(-3, 3))
     if data.draw(st.booleans()):
         rows = [dict(e) for e in data.draw(st.lists(
@@ -211,34 +214,13 @@ def test_prefix_ranks_match_truncated_matrices(m, n, data):
                 for i in range(m)]
         rows += [dict([e]) for e in data.draw(st.lists(singleton,
                                                         max_size=2))]
-    widths = data.draw(st.permutations(range(n + 1)))
-    got = linalg.rank(rows, widths)
-    for w, have in zip(widths, got):
+    exact, mod_p = linalg._rank_bareiss(rows), linalg._rank_mod(rows)
+    for w in range(n + 1):
         cut = [{c: v for c, v in r.items() if c < w} for r in rows]
+        have = bisect_left(exact, w)
         assert have == brute_rank(cut, w) == linalg.rank(cut), w
-    assert got[widths.index(n)] == linalg.rank(rows)
-
-
-def test_prefix_ranks_take_one_forward_pass(monkeypatch):
-    # three prefixes short of their bound over Q share one exact pass;
-    # the prefix of the independent first column is certified mod p
-    rows = [{0: 1, 1: 2, 2: 3, 3: 1}, {0: 2, 1: 4, 2: 6, 3: 5},
-            {0: 3, 1: 6, 2: 9, 3: 6}]
-    calls = []
-    forward = linalg._rank_bareiss
-    monkeypatch.setattr(linalg, "_rank_bareiss",
-                        lambda rows: calls.append(rows) or forward(rows))
-    assert linalg.rank(rows, [1, 2, 3, 4, 0]) == [1, 1, 1, 2, 0]
-    assert len(calls) == 1
-    # with two more columns the full width reaches full row rank mod p, so
-    # the exact pass sees only the columns below the widest short prefix
-    wide = [{**rows[0], 4: 1}, {**rows[1], 5: 1}, rows[2]]
-    for widths, ranks, cut in (([1, 2, 3, 6], [1, 1, 1, 3], 3),
-                               ([6, 4, 0, 2], [3, 2, 0, 1], 4)):
-        del calls[:]
-        assert linalg.rank(wide, widths) == ranks
-        assert len(calls) == 1
-        assert all(c < cut for row in calls[0] for c in row)
+        assert bisect_left(mod_p, w) <= have, w
+    assert len(exact) == linalg.rank(rows)
 
 
 # Reference: the dense Fraction Gauss-Jordan that rref was before it ran on

@@ -168,43 +168,40 @@ def _first_full(rep):
 
 
 def _audited_unions():
-    """(union, exact builds max_rank makes, expected verdict or None when
-    not asserted): the criterion-3 sets, the two exceptional families and
-    the catalog, at the seeds of their tests."""
+    """(union, expected verdict): the criterion-3 sets, the two exceptional
+    families and the catalog, at the seeds of their tests."""
     from test_acceptance import _rang_parameter_sets
-    unions = [(generic_union(comps, seed=trial), 0, None)
+    unions = [(generic_union(comps, seed=trial), True)
               for trial, m, sum_i, sum_j, comps in _rang_parameter_sets(50)]
     # the two exceptional families, defective at degrees 4 and 6
     families = ([[(2,)] * 5, [(2, 2, 2, 2, 2)], [(2, 2), (2,), (2,), (2,)]],
                 [[(4,)] + [(2,)] * 6, [(4, 2, 2), (2, 2), (2, 2)]])
-    unions += [(generic_union(comps, seed=seed), 1, False)
+    unions += [(generic_union(comps, seed=seed), False)
                for seed, family in zip((101, 102), families)
                for comps in family]
     # the catalog; (3,2), (4,2) and (5,2) fall short above the level floor
-    unions += [(generic_union(systems,
-                              rng_from(0, label).randrange(2**32)),
-                2 if label in ("(3,2)", "(4,2)", "(5,2)") else 1, False)
+    unions += [(_catalog_union(label, systems), False)
                for label, systems, _ in EXCEPTION_SYSTEMS]
     return unions
 
 
+def _catalog_union(label, systems):
+    """The first draw of a catalog entry, as `exception_catalog` seeds it."""
+    return generic_union(systems, rng_from(0, label).randrange(2**32))
+
+
 def test_max_rank_matches_the_per_degree_audit(monkeypatch):
     # default window: the certificate at the first degree with more columns
-    # than rows, and an exact matrix only when its count falls short there
-    # or below, at the widest such degree; when the rank falls short at the
-    # first degree, also the top one
+    # than rows, again at the top degree when it falls short there, and one
+    # exact matrix when a degree is left short, at the widest such degree
     built = _recording_builds(monkeypatch)
-    for Z, nbuilds, ok in _audited_unions():
+    for Z, ok in _audited_unions():
         del built[:]
         rep = max_rank(Z)
-        first = _first_full(rep)
-        assert first < max(rep["degrees"])
-        short = max((row["degree"] for row in rep["detail"]
-                     if row["defect"] and row["degree"] <= first),
-                    default=None)
-        assert built == [short, max(rep["degrees"])][:nbuilds]
-        assert rep["ok"] == (nbuilds == 0)
-        assert ok is None or rep["ok"] == ok
+        assert _first_full(rep) < max(rep["degrees"])
+        short = [row["degree"] for row in rep["detail"] if row["defect"]]
+        assert built == short[-1:]
+        assert rep["ok"] == ok
         assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
         full = max_rank(Z, range(9))
         assert full["detail"] == per_degree_detail(Z, range(9))
@@ -227,6 +224,15 @@ def test_max_rank_wide_window_builds_one_matrix(monkeypatch):
     for row in rep["detail"][9:]:
         ncols = (row["degree"] + 1) * (row["degree"] + 2) // 2
         assert row["defect"] == 0 and row["actual"] == ncols - 16
+    # the catalog's (5,2), length 18, falls short at degree 5, the first
+    # with more than 18 columns: the certificate at degree 200 settles every
+    # degree above it, and the one exact matrix is at 5
+    del built[:]
+    Z = _catalog_union("(5,2)", ((5,), (2,)))
+    rep = max_rank(Z, range(201))
+    assert built == [5]
+    assert rep["detail"][:9] == per_degree_detail(Z, range(9))
+    assert all(row["defect"] == 0 for row in rep["detail"][6:])
 
 
 def _certificate_matches_the_exact_rows(Zn, d):
@@ -240,7 +246,7 @@ def _certificate_matches_the_exact_rows(Zn, d):
 def test_certificate_pivots_match_the_exact_rows():
     # at each union's first degree with more columns than rows, where
     # max_rank takes the certificate, and one degree below it
-    for Z, _, _ in _audited_unions():
+    for Z, _ in _audited_unions():
         Zn = Z.normalized()
         first = level_floor(Zn.total_length) + 1
         for d in (first - 1, first):
@@ -248,16 +254,17 @@ def test_certificate_pivots_match_the_exact_rows():
 
 
 def test_a_short_certificate_falls_back_to_the_exact_rank(monkeypatch):
-    # a packed pivot loop that loses a pivot sends every audited degree it
-    # decides to the exact rows; the report does not change
+    # a packed pivot loop that loses a pivot at every width leaves the top
+    # audited degree short, so the one exact matrix is built there and its
+    # prefixes decide every short degree; the report does not change
     pivots_mod = linalg._pivots_mod
     monkeypatch.setattr(linalg, "_pivots_mod",
                         lambda *args: pivots_mod(*args)[:-1])
     built = _recording_builds(monkeypatch)
-    for Z, _, _ in _audited_unions()[::7]:
+    for Z, _ in _audited_unions()[::7]:
         del built[:]
         rep = max_rank(Z)
-        assert built[:1] == [_first_full(rep)]
+        assert built == [max(rep["degrees"])]
         assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
 
 
