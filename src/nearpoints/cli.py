@@ -178,9 +178,9 @@ def run(args):
         return {"length": length(wc),
                 "delta": list(unload(wc).final.mults)}, "ok"
     if cmd == "ell":
-        from .plane_systems import expected_dimension
+        from .plane_systems import audit_degree, expected_dimension
         Z = _as_union(parse_inputs(args.infile))
-        mat = condition_matrix(Z.normalized(), args.degree)
+        mat = condition_matrix(Z.normalized(), audit_degree(args.degree))
         rank = mat.rank()
         return {"degree": args.degree, "rank": rank,
                 "expected": expected_dimension(Z, args.degree),

@@ -21,17 +21,23 @@ each row of an n-row matrix is one Python int of w-bit slots, one slot per
 column key, the smallest key lowest, with w = 63 + bit_length(n) rounded up
 to whole bytes (9 bytes up to 511 rows), one bit more from 16,384 rows.
 Rows enter with nonnegative representatives below 2^32 in their slots,
-which are never reduced in place.  `_rank_mod` packs sparse integer rows
-as residues below p; `plane_systems` builds the rows of its max-rank
-certificate packed, every slot folded twice to below 2^32, and hands them
-to the same pivot loop, `_pivots_mod`.  A pivot step reads the low slot of
-every row (r & (2^w - 1), then % p).  It folds the pivot row twice, slot by
-slot, with x -> (x mod 2^31) + (x >> 31), which keeps x mod p because
-2^31 = 1 mod p; multiplies it by -1/v mod p for its pivot entry v; folds it
-once more; and replaces every other row r by (r >> w) + f * q, where f is
-the low slot of r and q the folded pivot row without its low slot.  So a
-pivot costs one multiply-add and one shift per row, whatever the number of
-columns.
+which are never reduced in place.  Rows reach the one pivot loop,
+`_pivots_mod`, three ways.  `_rank_mod` packs sparse integer rows as
+residues below p.  `plane_systems` builds the rows of its max-rank
+certificate packed, every slot folded twice to below 2^32.
+`_shifted_pivots` serves
+the Macaulay rows of the Tjurina count (`locus`) and the Sylvester rows of
+the squarefree test (`polyops`): each row there is a monomial multiple of
+a few generators, so it packs each generator once, as residues below p,
+and makes every row by a whole-slot shift.
+
+A pivot step reads the low slot of every row (r & (2^w - 1), then % p).
+It folds the pivot row twice, slot by slot, with
+x -> (x mod 2^31) + (x >> 31), which keeps x mod p because 2^31 = 1 mod p;
+multiplies it by -1/v mod p for its pivot entry v; folds it once more; and
+replaces every other row r by (r >> w) + f * q, where f is the low slot of
+r and q the folded pivot row without its low slot.  So a pivot costs one
+multiply-add and one shift per row, whatever the number of columns.
 
 Exactness: a slot below 2^w folds below 2^31 + 2^(w - 31), then below
 2^31 + 2^(w - 62), which is at most 2^32 while w <= 93.  The product with
@@ -159,6 +165,35 @@ def _rank_mod(rows):
             vals[slots[c]] = v % _P31
         packed.append(pack(vals))
     return _pivots_mod(packed, cols, nbytes)
+
+
+def _shifted_pivots(gens, ncols):
+    """Pivot columns mod p, among 0..ncols-1, of a matrix whose rows are
+    whole-slot shifts of a few generators: gens lists (entries, shifts),
+    entries a dict {slot: int} and each s in shifts the row holding
+    entries[i] at column i + s, every such column below ncols.
+
+    Each generator is packed once, as residues below p, and each row is
+    one shift of it, so no row is built entry by entry; `_pivots_mod`
+    eliminates.  The rows go in by shift, ties in the order of gens: the
+    pivot found for a column is then the row that reaches least far, so
+    the rows it is added to grow no longer than they must."""
+    nrows = sum(len(shifts) for _, shifts in gens)
+    width = 1 + max((max(g) for g, _ in gens if g), default=-1)
+    if not nrows or not width:
+        return []
+    nbytes = _slot_bytes(nrows)
+    pack = _packer(width, nbytes)
+    w = 8 * nbytes
+    rows = []
+    for entries, shifts in gens:
+        vals = [0] * width
+        for i, v in entries.items():
+            vals[i] = v % _P31
+        g = pack(vals)
+        rows += [(s, g << (w * s)) for s in shifts]
+    rows.sort(key=lambda row: row[0])
+    return _pivots_mod([r for _, r in rows], range(ncols), nbytes)
 
 
 def _pivots_mod(rows, cols, nbytes):

@@ -114,22 +114,24 @@ def tjurina_certificate(coeffs, s):
 
     Let F in Z[X, Y, Z] be the curve homogenized to its degree d, J the
     ideal of its partials, and h_p(t) = C(t+2, 2) minus the rank mod
-    p = 2^31 - 1 of the degree-t Macaulay matrix of J (`linalg._rank_mod`).
-    A mod-p rank never exceeds the rank over Q, whatever the prime, so
-    h_p(t) is at least the Hilbert function of S/J, which maps onto the
-    coordinate ring of the Jacobian scheme.  By Euler's relation F lies in
-    J, so that scheme sits on the singular points and has length tau(C),
-    infinite when C is not reduced; its Hilbert function rises by at least
-    one per degree until it reaches the length.  Hence
-    h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves
+    p = 2^31 - 1 of the degree-t Macaulay matrix of J.  Each of its rows is
+    a monomial multiple of one partial, so `linalg._shifted_pivots` packs
+    each partial once per x-shift and makes every row by a whole-slot shift;
+    its columns, the monomials in the order of their keys (a, b), sit in
+    runs of b cut to a + b <= t.  A mod-p rank never exceeds the rank over
+    Q, whatever the prime, so h_p(t) is at least the Hilbert function of
+    S/J, which maps onto the coordinate ring of the Jacobian scheme.  By
+    Euler's relation F lies in J, so that scheme sits on the singular points
+    and has length tau(C), infinite when C is not reduced; its Hilbert
+    function rises by at least one per degree until it reaches the length.
+    Hence h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves
     tau(C) <= s.  The degrees tried run from max(s, d-1), where the matrix
     first has rows, to max(s, 3(d-2)), Dimca's stability bound for the
     Jacobian algebra.  The matrix at degree t has 3 C(t-d+3, 2) rows, which
     bound its rank; a degree where C(t+2, 2) minus that count exceeds s
-    cannot give h_p(t) <= s, and is skipped without taking the rank.  A
-    rank that falls short mod p only raises h_p(t): the scan moves on to
-    the next degree, and the caller to the resultant locus, but never
-    passes wrongly.
+    cannot give h_p(t) <= s, and is skipped without taking the rank.  A rank
+    that falls short mod p only raises h_p(t): the scan moves on to the next
+    degree, and the caller to the resultant locus, but never passes wrongly.
 
     When the curve is known to carry singular points whose Tjurina numbers
     sum to s, a pass proves that they are all of its singular points.
@@ -148,10 +150,13 @@ def tjurina_certificate(coeffs, s):
         # the same verdict as taking it, without the elimination
         if ncols - 3 * (e + 1) * (e + 2) // 2 > s:
             continue
-        rows = [{(i + u, j + v): c for (i, j), c in g.items()}
-                for u in range(e + 1) for v in range(e + 1 - u)
-                for g in grads]
-        h = ncols - len(linalg._rank_mod(rows))
+        # column (a, b) at slot off[a] + b: the runs b = 0..t-a, in the
+        # order of the keys (a, b); row g x^u y^v is g x^u shifted by v
+        off = [a * (t + 1) - a * (a - 1) // 2 for a in range(t + 1)]
+        gens = [({off[a + u] - off[u] + b: c for (a, b), c in g.items()},
+                 range(off[u], off[u] + e - u + 1))
+                for g in grads for u in range(e + 1)]
+        h = ncols - len(linalg._shifted_pivots(gens, ncols))
         if h <= s:
             # below s only when the premise on s is wrong
             return h == s

@@ -111,7 +111,8 @@ def _translated_packed(ec, d, bound, pack, fold):
     ints, D = linalg.integral({0: ec.base[0], 1: ec.base[1], 2: ec.shear})
     if D % P == 0:
         return dict.fromkeys(keys, 0)
-    x0, y0, s = (ints.get(k, 0) * pow(D, -1, P) % P for k in range(3))
+    inv = pow(D, -1, P)
+    x0, y0, s = (ints.get(k, 0) * inv % P for k in range(3))
     cols_a, cols_b = zip(*monomials(d))
 
     def taylor(c0, cols):
@@ -197,8 +198,8 @@ def condition_matrix(Z, d):
 
 def ell(Z, d):
     """Projective dimension of the system of degree-d curves through Z;
-    -1 means empty."""
-    mat = condition_matrix(Z, d)
+    -1 means empty.  d must lie in 0..MAX_DEGREE."""
+    mat = condition_matrix(Z, audit_degree(d))
     return mat.ncols - 1 - mat.rank()
 
 
@@ -206,9 +207,10 @@ def expected_dimension(Z, d):
     return max(-1, _ncols(d) - 1 - Z.total_length)
 
 
-# The highest degree `max_rank` audits: a degree-d condition matrix has
-# (d+1)(d+2)/2 columns, 20,301 at the limit, and the report one entry per
-# audited degree, so the limit bounds both, whatever degrees are asked for.
+# The highest degree `max_rank` audits and `ell` reads: a degree-d condition
+# matrix has (d+1)(d+2)/2 columns, 20,301 at the limit, and the report one
+# entry per audited degree, so the limit bounds both, whatever degrees are
+# asked for.
 # Auditing every degree up to it took, on a 2-vCPU x86 VM with Python
 # 3.11, medians: 0.10 s for the cold `maxrank` on
 # tests/fixtures/five_doubles.json, whose certificate reaches full rank at
@@ -217,6 +219,16 @@ def expected_dimension(Z, d):
 # length 18, whose shortfall at degree 5 takes the packed certificate at
 # degree 200 and the exact matrix at degree 5 only.
 MAX_DEGREE = 200
+
+
+def audit_degree(d):
+    """d itself when it lies in 0..MAX_DEGREE; otherwise a ValueError."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d > MAX_DEGREE:
+        raise ValueError("degree %d above the audit limit %d"
+                         % (d, MAX_DEGREE))
+    return d
 
 
 def level_floor(n):
@@ -254,15 +266,7 @@ def max_rank(Z, degrees=None):
     if degrees is None:
         d_low = level_floor(L)
         degrees = range(d_low, d_low + 3)
-    audited = []
-    for d in degrees:
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        if d > MAX_DEGREE:
-            raise ValueError("degree %d above the audit limit %d"
-                             % (d, MAX_DEGREE))
-        audited.append(d)
-    degrees = audited
+    degrees = [audit_degree(d) for d in degrees]
     if not degrees:
         raise ValueError("no degree to audit")
     # ranks never fall as d grows and never pass the row count (see the

@@ -9,7 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import integral, primitive, rank
+from . import linalg
+from .linalg import integral, primitive
 
 
 def p_clean(p):
@@ -64,17 +65,47 @@ def translated_monomials(x0, y0, shear, max_deg, bound=None):
 
 def p_translate(p, x0, y0, shear=0):
     """Rewrite p in coordinates centered at (x0, y0) with an optional shear:
-    substitutes X = x0 + x + shear*y, Y = y0 + y."""
-    n = max((a + b for (a, b) in p), default=0)
-    D, images = translated_monomials(x0, y0, shear, n)
-    out = {}
-    for (a, b), c in p.items():
-        c = c * D ** (n - a - b)
-        for e, v in images[(a, b)].items():
-            out[e] = out.get(e, 0) + c * v
-    if D > 1:
-        out = {e: Fraction(v) / D ** n for e, v in out.items()}
-    return p_clean(out)
+    substitutes X = x0 + x + shear*y, Y = y0 + y.
+
+    With p scaled to integers over its denominator and base and shear
+    written by `integral` over their common denominator D, the forms
+    D X = X0 + D x + S y and D Y = Y0 + D y are integer, and for n = deg p
+
+        D^n p = sum_a (D X)^a Q_a,   Q_a = sum_b c_ab D^(n-a-b) (D Y)^b,
+
+    both sums taken by Horner steps, Q_a as a polynomial in y and the outer
+    sum as one in x over polynomials in y.  Returns the nonzero
+    coefficients: ints when p is integral and D = 1, else Fractions over
+    the denominator of p times D^n."""
+    ints, den = integral(p)
+    if not ints:
+        return {}
+    n = max(a + b for (a, b) in ints)
+    shift, D = integral({0: x0, 1: y0, 2: shear})
+    X0, Y0, S = (shift.get(k, 0) for k in range(3))
+    pw = [1]
+    for _ in range(n):
+        pw.append(pw[-1] * D)
+    rows = [[0] * (n - a + 1) for a in range(n + 1)]
+    for (a, b), c in ints.items():
+        rows[a][b] = c
+    # h[i] lists the y-coefficients of x^i; after row a, h has total degree
+    # n - a and h[i] the n - a - i + 1 entries of y-degree up to n - a - i
+    h = []
+    for a in range(n, -1, -1):
+        row, m = rows[a], n - a
+        q = [row[m]]
+        for b in range(m - 1, -1, -1):
+            # q * (Y0 + D y) + c_ab D^(m-b)
+            q = [Y0 * v + D * u for u, v in zip([0] + q, q + [0])]
+            q[0] += row[b] * pw[m - b]
+        # h * (X0 + S y + D x) + q: D x h lands one place up
+        up = [q] + [[D * v for v in hi] for hi in h]
+        h = [[X0 * v + S * u + w for u, v, w in zip([0] + hi, hi + [0], ui)]
+             for hi, ui in zip(h, up)] + [up[-1]]
+    N = den * pw[n]
+    return {(i, j): v if N == 1 else Fraction(v, N)
+            for i, hi in enumerate(h) for j, v in enumerate(hi) if v}
 
 def p_primitive(p):
     """Scale to coprime integer coefficients with positive leading value
@@ -149,11 +180,20 @@ def u_is_squarefree(u):
     """True when u has no repeated factor over Q: for n = deg u >= 2, when
     the Sylvester matrix of u and u' (n - 1 shifts of u, n of u') is
     nonsingular, so that gcd(u, u') is a constant.  Degrees 0 and 1 count
-    as squarefree."""
+    as squarefree.
+
+    Its rows are whole-slot shifts of u and u' (scaled to integers), so the
+    rank mod p comes from `linalg._shifted_pivots`; a full count is exact,
+    and only a count short of 2n - 1 takes the exact rank."""
     u = u_clean(list(u))
     n = len(u) - 1
     if n < 2:
         return True
-    rows = ([dict(enumerate(u, i)) for i in range(n - 1)]
-            + [dict(enumerate(u_diff(u), i)) for i in range(n)])
-    return rank(rows) == 2 * n - 1
+    ints = integral(dict(enumerate(u)))[0]
+    gens = [(ints, range(n - 1)),
+            ({i - 1: i * c for i, c in ints.items() if i}, range(n))]
+    if len(linalg._shifted_pivots(gens, 2 * n - 1)) == 2 * n - 1:
+        return True
+    rows = [{i + s: c for i, c in g.items()} for g, shifts in gens
+            for s in shifts]
+    return len(linalg._rank_bareiss(rows)) == 2 * n - 1

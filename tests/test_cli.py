@@ -149,6 +149,22 @@ def test_maxrank_above_the_degree_limit_is_an_error(capsys):
                                 % (MAX_DEGREE + 1, MAX_DEGREE))
 
 
+def test_ell_above_the_degree_limit_is_an_error(capsys):
+    # ell builds one matrix with (d+1)(d+2)/2 columns: it stops at
+    # plane_systems.MAX_DEGREE as maxrank does (it used to run on, 0.8 s at
+    # degree 201 and without bound above)
+    from nearpoints.plane_systems import MAX_DEGREE, ell, generic_union
+    for degree in (MAX_DEGREE + 1, 100000):
+        code, rep = run_cli(capsys, "ell", "--in",
+                            fixture("tacnode_union.json"), "--degree",
+                            str(degree))
+        assert code == 2 and rep["verdict"] == "error"
+        assert rep["error"] == ("degree %d above the audit limit %d"
+                                % (degree, MAX_DEGREE))
+        with pytest.raises(ValueError, match="above the audit limit"):
+            ell(generic_union([(2,)], 1), degree)
+
+
 def test_maxrank_error_on_missing_file(capsys):
     assert main(["maxrank", "--in", fixture("nope.json")]) == 2
     capsys.readouterr()

@@ -585,9 +585,98 @@ def test_tjurina_certificate_takes_one_rank_on_two_cusps(monkeypatch):
     spec = PIPELINE_SPECS[7]
     curve, _ = synthesize(spec, 5, seed=0)
     calls = []
-    rank_mod = linalg._rank_mod
-    monkeypatch.setattr(linalg, "_rank_mod",
-                        lambda rows: calls.append(len(rows)) or rank_mod(rows))
+    pivots_mod = linalg._pivots_mod
+    monkeypatch.setattr(linalg, "_pivots_mod",
+                        lambda rows, *args: calls.append(len(rows))
+                        or pivots_mod(rows, *args))
     # d = 5, s = 4: t = 4..7 have fewer than C(t+2, 2) - 4 rows; t = 8 passes
     assert locus.tjurina_certificate(curve.coeffs, spec.tjurina)
     assert calls == [45]
+
+
+# Reference: the Macaulay matrix as the certificate built it before its rows
+# were shifts of packed partials: one dict row per (monomial, partial),
+# keyed by (X, Y) exponents, ranked by `linalg._rank_mod`.
+
+def dict_row_rank(coeffs, t):
+    ints = linalg.integral(coeffs)[0]
+    d = max(a + b for (a, b) in ints)
+    grads = ({(a - 1, b): a * c for (a, b), c in ints.items() if a},
+             {(a, b - 1): b * c for (a, b), c in ints.items() if b},
+             {(a, b): (d - a - b) * c for (a, b), c in ints.items()
+              if d - a - b})
+    e = t - d + 1
+    rows = [{(i + u, j + v): c for (i, j), c in g.items()}
+            for u in range(e + 1) for v in range(e + 1 - u)
+            for g in grads]
+    return len(linalg._rank_mod(rows))
+
+
+def packed_ranks(monkeypatch, coeffs, s):
+    """The certificate's verdict and, for each degree t it ranked, its
+    count mod p."""
+    shifted = linalg._shifted_pivots
+    ranks = {}
+
+    def spy(gens, ncols):
+        pivots = shifted(gens, ncols)
+        t = next(t for t in itertools.count() if (t + 1) * (t + 2) // 2
+                 == ncols)
+        ranks[t] = len(pivots)
+        return pivots
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_shifted_pivots", spy)
+        verdict = locus.tjurina_certificate(coeffs, s)
+    return verdict, ranks
+
+
+def test_packed_tjurina_count_matches_dict_rows(monkeypatch):
+    # every pipeline spec's curve, at its total (one rank) and one below
+    # it (every degree up to the bound)
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import min_degree, synthesize
+    for k, spec in enumerate(PIPELINE_SPECS):
+        curve, _ = synthesize(spec, min_degree(spec), seed=31000 + k)
+        for s, want in ((spec.tjurina, True), (spec.tjurina - 1, False)):
+            verdict, ranks = packed_ranks(monkeypatch, curve.coeffs, s)
+            assert verdict is want and ranks, (spec, s)
+            assert verdict == scan_every_degree(curve.coeffs, s), (spec, s)
+            for t, rank in ranks.items():
+                assert rank == dict_row_rank(curve.coeffs, t), (spec, s, t)
+
+
+def test_tjurina_certificate_refuses_an_extra_node():
+    # two sharp ordinary cusps and a node: tau = 2 + 2 + 1, so a premise of
+    # only the two cusps (s = 4) must not certify
+    from nearpoints.synthesis import SingularitySpec, synthesize, verify_sharp
+    spec = SingularitySpec(tacnodes=(1,), cusps=(1, 1))
+    curve, union = synthesize(spec, 5, seed=3)
+    assert all(verify_sharp(curve, ec).ok for ec in union.components)
+    assert certified(curve.coeffs, spec.tjurina)
+    assert not certified(curve.coeffs, spec.tjurina - 1)
+
+
+def test_tjurina_certificate_refuses_a_non_reduced_curve():
+    # a pipeline quartic times the square of a line: its Jacobian scheme
+    # is not finite, so no s certifies it
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import synthesize
+    spec = PIPELINE_SPECS[0]
+    quartic, _ = synthesize(spec, 4, seed=31000)
+    line = {(1, 0): 2, (0, 1): -3, (0, 0): 1}
+    coeffs = curve_of(quartic.coeffs, line, line).coeffs
+    for s in (spec.tjurina, spec.tjurina + 6):
+        assert not certified(coeffs, s), s
+
+
+def test_tjurina_certificate_never_passes_on_a_lost_pivot(monkeypatch):
+    # a pivot lost mod p only raises h_p(t), so the scan never passes
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import min_degree, synthesize
+    curves = [(synthesize(spec, min_degree(spec), seed=31000 + k)[0], spec)
+              for k, spec in enumerate(PIPELINE_SPECS[:8])]
+    pivots_mod = linalg._pivots_mod
+    monkeypatch.setattr(linalg, "_pivots_mod",
+                        lambda *args: pivots_mod(*args)[:-1])
+    for curve, spec in curves:
+        assert not locus.tjurina_certificate(curve.coeffs, spec.tjurina)

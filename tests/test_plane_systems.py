@@ -624,6 +624,70 @@ def test_p_translate_matches_fraction_products(p, x0, y0, shear):
                                              if v}
 
 
+def images_p_translate(p, x0, y0, shear=0):
+    """`p_translate` as it was before it took Horner steps, kept as its
+    reference: every monomial's image from `translated_monomials`, scaled
+    and summed over the common denominator D^n."""
+    n = max((a + b for (a, b) in p), default=0)
+    D, images = translated_monomials(x0, y0, shear, n)
+    out = {}
+    for (a, b), c in p.items():
+        c = c * D ** (n - a - b)
+        for e, v in images[(a, b)].items():
+            out[e] = out.get(e, 0) + c * v
+    if D > 1:
+        out = {e: Fraction(v) / D ** n for e, v in out.items()}
+    return p_clean(out)
+
+
+translate_coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+@st.composite
+def translate_cases(draw):
+    """A polynomial of degree up to 8 (the zero one included, and zero
+    coefficients), a base with fractional coordinates or not, and a shear
+    that is 0, an int or a Fraction."""
+    n = draw(st.integers(0, 8))
+    exps = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+        lambda e: e[0] + e[1] <= n)
+    p = draw(st.dictionaries(exps, translate_coefficients, max_size=12))
+    base = st.one_of(st.integers(-20, 20),
+                     st.fractions(min_value=-20, max_value=20,
+                                  max_denominator=9))
+    shear = st.one_of(st.just(0), st.integers(-5, 5),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=9))
+    return p, draw(base), draw(base), draw(shear)
+
+
+@settings(max_examples=150, deadline=None)
+@given(translate_cases())
+def test_horner_translation_matches_monomial_images(case):
+    p, x0, y0, shear = case
+    got = p_translate(p, x0, y0, shear)
+    assert got == images_p_translate(p, x0, y0, shear)
+    if all(type(v) is int for v in (*p.values(), x0, y0, shear)):
+        assert all(type(v) is int for v in got.values())
+
+
+def test_horner_translation_edge_cases():
+    assert p_translate({}, Fraction(1, 3), 2, Fraction(-1, 2)) == {}
+    assert p_translate({(2, 1): 0, (0, 0): 0}, 1, 1) == {}
+    # a constant, and a line whose translate is constant
+    assert p_translate({(0, 0): Fraction(5, 2)}, 7, Fraction(1, 3)) == {
+        (0, 0): Fraction(5, 2)}
+    assert p_translate({(1, 0): 1, (0, 1): -1}, 2, 2, 1) == {
+        (1, 0): 1}
+    # x^2 y at (1/2, 1/3): (1/2 + x)^2 (1/3 + y)
+    got = p_translate({(2, 1): 1}, Fraction(1, 2), Fraction(1, 3))
+    assert got == images_p_translate({(2, 1): 1}, Fraction(1, 2),
+                                     Fraction(1, 3))
+    assert got[(0, 0)] == Fraction(1, 12) and got[(2, 1)] == 1
+
+
 def closed_form_translated_monomials(x0, y0, shear, max_deg, bound=None):
     """The binomial expansion `translated_monomials` used to be, kept as the
     reference for its recurrence:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearpoints import synthesis
+from nearpoints import linalg, synthesis
 from nearpoints.clusters import validate, weighted_chain
 from nearpoints.io import jsonable
 from nearpoints.local_algebra import (EmbeddedCluster, contains,
@@ -403,6 +403,56 @@ def univariates(draw):
 @given(univariates())
 def test_squarefree_sylvester_rank_matches_euclid(u):
     assert u_is_squarefree(u) == euclid_u_is_squarefree(u)
+
+
+# Reference: the Sylvester test as it ran before its rows were shifts of
+# packed u and u', with its rank taken exactly by `linalg.forward`.
+
+def exact_sylvester_is_squarefree(u):
+    u = u_clean(list(u))
+    n = len(u) - 1
+    if n < 2:
+        return True
+    rows = ([dict(enumerate(u, i)) for i in range(n - 1)]
+            + [dict(enumerate(u_diff(u), i)) for i in range(n)])
+    return len(linalg.forward(rows)) == 2 * n - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariates())
+def test_packed_squarefree_matches_exact_sylvester_rank(u):
+    assert u_is_squarefree(u) == exact_sylvester_is_squarefree(u)
+
+
+# with and without repeated roots, up to degree 9
+SYLVESTER_CASES = [
+    [-2, 0, 1], [1, 0, 1], [Fraction(1, 3), -1, Fraction(5, 2), 7],
+    u_mul([-2, 0, 1], [-2, 0, 1]), u_mul([1, 1], u_mul([1, 1], [0, 3])),
+    u_mul([Fraction(1, 2), 1], u_mul([1, 0, 1], [Fraction(1, 2), 1])),
+    u_mul([1, 2, 3, 4], [5, 6, 7]), u_mul([1, -1], [1, -1, 0, 0, 1]),
+    u_mul([3, 1], u_mul([3, 1], u_mul([3, 1], [-7, 0, 0, 2]))),
+    [c * (1 << 40) + 1 for c in (1, -3, 0, 5, 2)],
+]
+
+
+def test_squarefree_takes_the_exact_rank_on_a_lost_pivot(monkeypatch):
+    # a mod-p count that falls short decides nothing: with a pivot dropped
+    # every Sylvester count is short, and the exact rank gives the answer
+    want = [euclid_u_is_squarefree(u) for u in SYLVESTER_CASES]
+    assert want.count(True) >= 4 and want.count(False) >= 4
+    exact = []
+    bareiss = linalg._rank_bareiss
+    monkeypatch.setattr(linalg, "_rank_bareiss",
+                        lambda rows: exact.append(rows) or bareiss(rows))
+    assert [u_is_squarefree(u) for u in SYLVESTER_CASES] == want
+    # a full count mod p is exact, so only repeated roots reach it
+    assert len(exact) == want.count(False)
+    pivots_mod = linalg._pivots_mod
+    monkeypatch.setattr(linalg, "_pivots_mod",
+                        lambda *args: pivots_mod(*args)[:-1])
+    exact.clear()
+    assert [u_is_squarefree(u) for u in SYLVESTER_CASES] == want
+    assert len(exact) == len(SYLVESTER_CASES)
 
 
 def test_squarefree_on_squared_factors():
