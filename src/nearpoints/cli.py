@@ -13,9 +13,9 @@ Each command imports the modules it runs, inside its branch of `run`, so a
 cold start pays only for those.  `length`, `unload` and `render` load no
 package module beyond `cli`, `clusters`, `io` and `unloading`; `ell` and
 `maxrank` add `plane_systems` and what it imports (`linalg`,
-`local_algebra`, `polyops`, `sampling`); `verify` adds `synthesis` and
-`locus`.  No command imports sympy unless a curve falls back to the
-resultant locus.
+`local_algebra`, `polyops`, `sampling`), and `ell` is `max_rank` at its
+one degree; `verify` adds `synthesis` and `locus`.  No command imports
+sympy unless a curve falls back to the resultant locus.
 """
 
 import argparse
@@ -30,8 +30,9 @@ from .unloading import length, unload
 
 
 def condition_matrix(Z, degree):
-    """plane_systems.condition_matrix, imported on first call; bound here so
-    that the call site can be wrapped by name."""
+    """plane_systems.condition_matrix, imported on first call.  Nothing in
+    the package calls it: it stays bound only because perfbench/spans.py
+    wraps ("nearpoints.cli", "condition_matrix") by name."""
     from .plane_systems import condition_matrix
     return condition_matrix(Z, degree)
 
@@ -178,13 +179,12 @@ def run(args):
         return {"length": length(wc),
                 "delta": list(unload(wc).final.mults)}, "ok"
     if cmd == "ell":
-        from .plane_systems import audit_degree, expected_dimension
-        Z = _as_union(parse_inputs(args.infile))
-        mat = condition_matrix(Z.normalized(), audit_degree(args.degree))
-        rank = mat.rank()
-        return {"degree": args.degree, "rank": rank,
-                "expected": expected_dimension(Z, args.degree),
-                "actual": mat.ncols - 1 - rank,
+        from .plane_systems import max_rank
+        d = args.degree
+        row = max_rank(_as_union(parse_inputs(args.infile)), [d])["detail"][0]
+        actual = row["actual"]
+        return {"degree": d, "rank": (d + 1) * (d + 2) // 2 - 1 - actual,
+                "expected": row["expected"], "actual": actual,
                 "verdict": "ok", "seed": None}, "ok"
     if cmd == "maxrank":
         from .plane_systems import max_rank

@@ -4,7 +4,8 @@ Curves of degree d live in the affine chart as coefficient vectors over the
 monomials X^a Y^b, a+b <= d.  Each embedded cluster contributes the rows of
 its local condition matrix composed with the exact translation (and shear)
 into its frame; the resulting matrix is the evaluation map whose rank decides
-dimensions and maximal-rank verdicts.
+dimensions and maximal-rank verdicts, both by `max_rank`: `ell` is
+`max_rank` at one degree.
 
 The matrices are graded: for e >= d, the degree-d matrix is the column
 prefix c < (d+1)(d+2)/2 of the degree-e one, up to scaling each row.
@@ -198,9 +199,8 @@ def condition_matrix(Z, d):
 
 def ell(Z, d):
     """Projective dimension of the system of degree-d curves through Z;
-    -1 means empty.  d must lie in 0..MAX_DEGREE."""
-    mat = condition_matrix(Z, audit_degree(d))
-    return mat.ncols - 1 - mat.rank()
+    -1 means empty: `max_rank` at the one degree d, in 0..MAX_DEGREE."""
+    return max_rank(Z, [d])["detail"][0]["actual"]
 
 
 def expected_dimension(Z, d):
@@ -406,8 +406,8 @@ def level_split(m, i, j, s):
 
 
 def stratum_ell(s, mults, d, seed, height=DEFAULT_HEIGHT):
-    """ell of degree-d curves through a seeded generic embedding of a U_s
-    cluster carrying the system."""
+    """`ell`, so `max_rank` at the one degree d, of degree-d curves through
+    a seeded generic embedding of a U_s cluster carrying the system."""
     rng = rng_from(seed, "stratum", s, tuple(mults))
     wc = WeightedCluster(us_chain(len(mults), s), tuple(mults))
     return ell(SchemeUnion((embed(wc, rng=rng, height=height),)), d)

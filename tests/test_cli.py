@@ -83,11 +83,30 @@ def test_a_negative_multiplicity_imposes_no_condition(capsys, tmp_path):
     assert code == 0 and rep["verdict"] == "ok"
 
 
-def test_ell(capsys):
-    code, rep = run_cli(capsys, "ell", "--in", fixture("tacnode_union.json"),
-                        "--degree", "2")
-    assert code == 0
-    assert rep["results"]["actual"] == 0
+@pytest.mark.parametrize("name,degree,rank,expected,actual,exact", [
+    # length 6, defective in degree 2
+    ("tacnode_union.json", 2, 5, -1, 0, [2]),
+    # length 15; degree 4 is superabundant: the certificate falls short of
+    # rank 15, and the one exact matrix is built there
+    ("five_doubles.json", 3, 10, -1, -1, []),
+    ("five_doubles.json", 4, 14, -1, 0, [4]),
+    ("five_doubles.json", 5, 15, 5, 5, []),
+], ids=["tacnode_union-2", "five_doubles-3", "five_doubles-4",
+        "five_doubles-5"])
+def test_ell(capsys, monkeypatch, name, degree, rank, expected, actual,
+             exact):
+    from nearpoints import plane_systems
+    condition_matrix = plane_systems.condition_matrix
+    built = []
+    monkeypatch.setattr(plane_systems, "condition_matrix",
+                        lambda Z, d: built.append(d) or condition_matrix(Z, d))
+    code, rep = run_cli(capsys, "ell", "--in", fixture(name),
+                        "--degree", str(degree))
+    assert code == 0 and rep["verdict"] == "ok"
+    assert list(rep["results"].items()) == [
+        ("degree", degree), ("rank", rank), ("expected", expected),
+        ("actual", actual), ("verdict", "ok"), ("seed", None)]
+    assert built == exact
 
 
 def test_maxrank_five_doubles_fails_at_4(capsys):
@@ -150,18 +169,19 @@ def test_maxrank_above_the_degree_limit_is_an_error(capsys):
 
 
 def test_ell_above_the_degree_limit_is_an_error(capsys):
-    # ell builds one matrix with (d+1)(d+2)/2 columns: it stops at
-    # plane_systems.MAX_DEGREE as maxrank does (it used to run on, 0.8 s at
-    # degree 201 and without bound above)
+    # ell is maxrank at one degree, so it stops at plane_systems.MAX_DEGREE
+    # with the same error (it used to run on, 0.8 s at degree 201 and
+    # without bound above), and below degree 0 too
     from nearpoints.plane_systems import MAX_DEGREE, ell, generic_union
-    for degree in (MAX_DEGREE + 1, 100000):
+    for degree in (MAX_DEGREE + 1, 100000, -1):
+        error = ("degree %d above the audit limit %d" % (degree, MAX_DEGREE)
+                 if degree > 0 else "degree must be nonnegative")
         code, rep = run_cli(capsys, "ell", "--in",
                             fixture("tacnode_union.json"), "--degree",
                             str(degree))
         assert code == 2 and rep["verdict"] == "error"
-        assert rep["error"] == ("degree %d above the audit limit %d"
-                                % (degree, MAX_DEGREE))
-        with pytest.raises(ValueError, match="above the audit limit"):
+        assert rep["error"] == error
+        with pytest.raises(ValueError, match=error):
             ell(generic_union([(2,)], 1), degree)
 
 

@@ -203,6 +203,9 @@ def test_max_rank_matches_the_per_degree_audit(monkeypatch):
         assert built == short[-1:]
         assert rep["ok"] == ok
         assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
+        # ell is max_rank at one degree; the exact rank stays its oracle
+        for row in rep["detail"]:
+            assert ell(Z, row["degree"]) == row["actual"]
         full = max_rank(Z, range(9))
         assert full["detail"] == per_degree_detail(Z, range(9))
 
@@ -261,11 +264,21 @@ def test_a_short_certificate_falls_back_to_the_exact_rank(monkeypatch):
     monkeypatch.setattr(linalg, "_pivots_mod",
                         lambda *args: pivots_mod(*args)[:-1])
     built = _recording_builds(monkeypatch)
-    for Z, _ in _audited_unions()[::7]:
+    unions = _audited_unions()
+    for k, (Z, ok) in enumerate(unions):
+        if k % 7 and ok:
+            continue
         del built[:]
         rep = max_rank(Z)
         assert built == [max(rep["degrees"])]
-        assert rep["detail"] == per_degree_detail(Z, rep["degrees"])
+        detail = per_degree_detail(Z, rep["degrees"])
+        assert rep["detail"] == detail
+        # so does ell at each degree: every catalog system and both
+        # exceptional families reach its exact fallback
+        for row in detail:
+            del built[:]
+            assert ell(Z, row["degree"]) == row["actual"]
+            assert built == [row["degree"]]
 
 
 def test_max_rank_generic_keeps_the_better_draw(monkeypatch):
@@ -499,16 +512,17 @@ def fraction_translated_columns(ec, d, bound):
 
 
 @st.composite
-def rational_unions(draw):
+def rational_unions(draw, mult=st.integers(1, 3), ordered=True):
     """Up to three chains (free or U_s satellite patterns) at distinct
-    rational bases, each with a nonzero rational shear."""
+    rational bases, each with a nonzero rational shear; the multiplicities
+    are drawn from mult, in decreasing order when ordered is set."""
     rat = st.fractions(min_value=-20, max_value=20, max_denominator=9)
     comps = []
     bases = set()
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 4))
-        mults = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n,
-                                           max_size=n)), reverse=True))
+        mults = draw(st.lists(mult, min_size=n, max_size=n))
+        mults = tuple(sorted(mults, reverse=True) if ordered else mults)
         s = draw(st.integers(0, n))
         cluster = us_chain(n, s) if s >= 2 else free_chain(n)
         base = (draw(rat), draw(rat))
@@ -535,6 +549,15 @@ def test_condition_matrix_matches_fraction_oracle(Z, d):
             labels.append((ci, k, e))
     assert mat.rows == tuple(rows)
     assert mat.labels == tuple(labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_unions(st.integers(-1, 4), ordered=False), st.integers(0, 7))
+def test_ell_is_the_exact_rank_of_the_union_as_given(Z, d):
+    # multiplicities in any order, so that unloading moves them: ell ranks
+    # the normalized union, which has the ideals, hence the rank, of Z
+    ncols = (d + 1) * (d + 2) // 2
+    assert ell(Z, d) == ncols - 1 - condition_matrix(Z, d).rank()
 
 
 @settings(max_examples=40, deadline=None)
