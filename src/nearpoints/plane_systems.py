@@ -5,7 +5,9 @@ monomials X^a Y^b, a+b <= d.  Each embedded cluster contributes the rows of
 its local condition matrix composed with the exact translation (and shear)
 into its frame; the resulting matrix is the evaluation map whose rank decides
 dimensions and maximal-rank verdicts, both by `max_rank`: `ell` is
-`max_rank` at one degree.
+`max_rank` at one degree.  The monomial basis moves into a frame by one
+closed form, taken in integers by `_translated_columns` and mod p by
+`_translated_packed`.
 
 The matrices are graded: for e >= d, the degree-d matrix is the column
 prefix c < (d+1)(d+2)/2 of the degree-e one, up to scaling each row.
@@ -40,14 +42,14 @@ their ranks off the pivots of `linalg._rank_bareiss`.
 
 from bisect import bisect_left
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .clusters import (WeightedCluster, free_chain, is_consistent, record,
                        system, us_chain)
 from .local_algebra import (ConditionMatrix, _emit_conditions, _emit_packed,
                             embed, track_bounds)
-from .polyops import monomials, translated_monomials
+from .polyops import monomials
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 from .unloading import length, unload
 
@@ -77,20 +79,53 @@ class SchemeUnion:
 
 
 def _translated_columns(ec, d, bound):
-    """Initial pipeline state for a degree-d curve at this component: local
-    monomials of degree < bound -> sparse row over global monomial columns.
+    """Initial pipeline state for a degree-d curve at this component: every
+    local monomial x^i y^j with i + j < bound (up to degree d) -> its sparse
+    integer row over the degree-d columns, zero entries dropped; no row is
+    empty, as the column of X^i Y^j holds D^(d-i) there.
 
-    The state is integral: with base and shear over the common denominator D,
-    column X^a Y^b carries D^d X^a Y^b = D^(d-a-b) (D^(a+b) X^a Y^b); the
-    common factor D^d goes when each condition row is made primitive."""
-    D, images = translated_monomials(ec.base[0], ec.base[1], ec.shear, d,
-                                     bound)
+    With base and shear written by `integral` as X0, Y0, S over their
+    common denominator D, column X^a Y^b carries
+    D^d X^a Y^b = D^(d-a-b) (X0 + D u)^a (Y0 + D y)^b, D u = D x + S y,
+    whose coefficient at (D u)^i y^j is C(a, i) X0^(a-i) C(b, j) Y0^(b-j)
+    D^j D^(d-a-b); then (D u)^i = (D x + S y)^i gives x^(i-k) y^(j+k) the
+    factor C(i, k) D^(i-k) S^k.  The common factor D^d goes when each
+    condition row is made primitive.  `_translated_packed` is this closed
+    form mod p."""
+    top = min(bound, d + 1)
+    ints, D = linalg.integral({0: ec.base[0], 1: ec.base[1], 2: ec.shear})
+    X0, Y0, S = (ints.get(k, 0) for k in range(3))
+    cols = monomials(d)
+    cols_a, cols_b = zip(*cols)
+    dpow = [D ** k for k in range(d + 1)]
+
+    def taylor(c0, exps):
+        # row i < top: C(n, i) c0^(n-i) at the exponent n of each column
+        pw = [c0 ** k for k in range(d + 1)]
+        rows = []
+        for i in range(top):
+            t = [comb(n, i) * pw[n - i] if n >= i else 0
+                 for n in range(d + 1)]
+            rows.append(list(map(t.__getitem__, exps)))
+        return rows
+
+    xs, ys = taylor(X0, cols_a), taylor(Y0, cols_b)
+    if D != 1:      # the column scale D^(d-a-b) rides on the x-rows
+        colscale = [dpow[d - a - b] for a, b in cols]
+        xs = [list(map(mul, row, colscale)) for row in xs]
     state = {}
-    for col, (a, b) in enumerate(monomials(d)):
-        scale = D ** (d - a - b)
-        for e, v in images[(a, b)].items():
-            state.setdefault(e, {})[col] = v * scale
-    return state
+    for i in range(top):
+        for j in range(top - i):
+            row = list(map(mul, xs[i], ys[j]))
+            # D^j of the y-part and the factor of the shear, taken at once
+            for k in range(i + 1) if S else (0,):
+                c = comb(i, k) * dpow[i - k + j] * S ** k
+                part = row if c == 1 else list(map(c.__mul__, row))
+                e = (i - k, j + k)
+                prev = state.get(e)
+                state[e] = part if prev is None else list(map(add, prev, part))
+    return {e: {col: v for col, v in enumerate(row) if v}
+            for e, row in state.items()}
 
 
 def _translated_packed(ec, d, bound, pack, fold):
@@ -98,12 +133,10 @@ def _translated_packed(ec, d, bound, pack, fold):
     local monomial x^i y^j with i + j < bound (up to degree d; none is left
     out) -> its row over the degree-d columns, packed, slots below 2^32.
 
-    Mod p the base (x0, y0) and the shear s are elements of GF(p), and the
-    exact state is D^d times the rational translation, D the common
-    denominator of base and shear: so the state is the exact one times
-    D^(-d) mod p.  With u = x + s y, the column X^a Y^b is
-    (x0 + u)^a (y0 + y)^b, whose coefficient of u^i y^j is
-    C(a, i) x0^(a-i) C(b, j) y0^(b-j); then u^i = (x + s y)^i gives
+    It is the same closed form in GF(p), where the base (x0, y0) and the
+    shear s are elements and D is 1: the state is the exact one times
+    D^(-d) mod p.  Column X^a Y^b gives u^i y^j, u = x + s y, the
+    coefficient C(a, i) x0^(a-i) C(b, j) y0^(b-j), and u^i gives
     x^(i-k) y^(j+k) the factor C(i, k) s^k.  A denominator divisible by p
     makes every row 0, which is 0 times the exact one."""
     P = linalg._P31
@@ -148,11 +181,12 @@ def _certified_pivots(Z, d, nrows):
 
     The count below any width is at most the rank over Q of that column
     prefix.  Every exact state entry is an integer made by integer
-    operations, so reducing it mod p is a ring map.  The packed translation
-    is the exact one times c = D^(-d) mod p (or 0), and each packed step
-    keeps every monomial it reaches, a row that vanishes mod p included, so
-    its bmax is at least the exact step's and its factor q^bmax is the
-    exact one times a power of q.  By induction each packed state is the
+    operations, so reducing it mod p is a ring map.  The packed translation,
+    the closed form of `_translated_columns` mod p, is the exact one times
+    c = D^(-d) mod p (or 0), and each packed step keeps every monomial it
+    reaches, a row that vanishes mod p included, so its bmax is at least
+    the exact step's and its factor q^bmax is the exact one times a power
+    of q.  By induction each packed state is the
     exact one times one residue c mod p, and a monomial the exact walk
     drops (its row cancels over Z) holds 0 mod p.  So each packed row is
     c * g * (primitive exact row) mod p, g the content of the exact row;

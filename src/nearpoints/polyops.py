@@ -2,7 +2,8 @@
 
 Coefficients are exact (int or Fraction).  These are plain helpers; heavier
 elimination work (resultants, factorization over Q) goes through sympy's
-polynomial rings in `locus`.
+polynomial rings in `locus`.  `p_translate` moves one polynomial into a
+local frame; `plane_systems` moves the monomial basis by its closed form.
 """
 
 from fractions import Fraction
@@ -24,44 +25,6 @@ def p_min_deg(p):
 def p_form(p, d):
     """Homogeneous part of degree d."""
     return {e: c for e, c in p.items() if e[0] + e[1] == d}
-
-def translated_monomials(x0, y0, shear, max_deg, bound=None):
-    """Images of the plane monomials X^a Y^b, a + b <= max_deg, under the
-    substitution X = x0 + x + shear*y, Y = y0 + y.
-
-    x0, y0 and shear are written by `integral` as integer numerators X0, Y0,
-    S over their common denominator D, so that D X = X0 + D x + S y and
-    D Y = Y0 + D y are integer linear forms.  In `monomials` order each
-    image is one of them times an earlier image:
-
-        D^(a+b) X^a Y^b = (D X) * D^(a+b-1) X^(a-1) Y^b     for a > 0,
-        D^b Y^b         = (D Y) * D^(b-1) Y^(b-1).
-
-    Only local monomials of total degree < bound are kept (all of them when
-    bound is None).  The cut is exact: a linear form never lowers the
-    degree, so the terms of a product below the bound come from the terms
-    of its factor below the bound.  Returns (D, images) with images[(a, b)]
-    the integer polynomial D^(a+b) X^a Y^b, zero coefficients dropped.
-    """
-    ints, D = integral({0: x0, 1: y0, 2: shear})
-    X0, Y0, S = (ints.get(k, 0) for k in range(3))
-    if bound is None:
-        bound = max_deg + 1
-    # each form as (constant term, {degree-1 shift: coefficient})
-    DX = (X0, p_clean({(1, 0): D, (0, 1): S}))
-    DY = (Y0, {(0, 1): D})
-    images = {(0, 0): {(0, 0): 1} if bound > 0 else {}}
-    for a, b in monomials(max_deg)[1:]:
-        c0, lin = DX if a else DY
-        prev = images[(a - 1, b) if a else (0, b - 1)]
-        img = {e: c0 * v for e, v in prev.items()} if c0 else {}
-        for (i, j), v in prev.items():
-            if i + j + 1 < bound:
-                for (di, dj), c in lin.items():
-                    e = (i + di, j + dj)
-                    img[e] = img.get(e, 0) + c * v
-        images[(a, b)] = p_clean(img)
-    return D, images
 
 def p_translate(p, x0, y0, shear=0):
     """Rewrite p in coordinates centered at (x0, y0) with an optional shear:

@@ -21,7 +21,7 @@ from math import gcd
 from .clusters import WeightedCluster, free_chain, record, single_chain
 from .local_algebra import embed, strict_transforms, to_local
 from .locus import singular_locus, tjurina_certificate
-from .plane_systems import SchemeUnion, condition_matrix
+from .plane_systems import SchemeUnion, audit_degree, condition_matrix
 from . import linalg
 from .polyops import (monomial_key, monomials, p_clean, p_form, p_min_deg,
                       p_primitive, u_divide_out, u_is_squarefree)
@@ -164,8 +164,8 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     quotient, and the solved entries are scaled by its denominator when that
     is not 1.  The integer vector is a nonzero multiple of the rational
     solution, so its primitive form is the same curve.  Returns (PlaneCurve,
-    SchemeUnion).  A degree below 3 is a ValueError: every singular curve
-    of degree <= 2 is reducible."""
+    SchemeUnion).  A degree below 3 (every singular curve of degree <= 2
+    is reducible) or above `plane_systems.MAX_DEGREE` is a ValueError."""
     if not spec.tacnodes and not spec.cusps:
         raise ValueError("no tacnode or cusp prescribed")
     if d < 3:
@@ -174,6 +174,7 @@ def synthesize(spec, d, seed=0, height=DEFAULT_HEIGHT):
     if d < degree_bound(spec.weight):
         raise ValueError("degree %d below the bound %d"
                          % (d, degree_bound(spec.weight)))
+    audit_degree(d)
     last_err = None
     for attempt in (0, 1):
         union = _spec_union(spec, seed + 1000003 * attempt, height)

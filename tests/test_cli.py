@@ -185,6 +185,41 @@ def test_ell_above_the_degree_limit_is_an_error(capsys):
             ell(generic_union([(2,)], 1), degree)
 
 
+class _MatrixAsked(Exception):
+    """Raised by the condition-matrix spy instead of building the matrix."""
+
+
+def test_synthesize_above_the_degree_limit_is_an_error(capsys, monkeypatch):
+    # the degree stops at plane_systems.MAX_DEGREE before a condition
+    # matrix is asked for, whether --degree gives it or the weight bound
+    # does (--degree 100000 used to reach monomials(100000), about 5 * 10^9
+    # tuples); the spy stops a run that gets past the limit at once
+    from nearpoints import synthesis
+    from nearpoints.plane_systems import MAX_DEGREE
+
+    def spy(Z, d):
+        raise _MatrixAsked(d)
+
+    monkeypatch.setattr(synthesis, "condition_matrix", spy)
+    # weight 6701 is the least whose bound, d(d+1) >= 6 * weight, is 201
+    assert synthesis.min_degree(synthesis.SingularitySpec((6701,))) == \
+        MAX_DEGREE + 1
+    for argv, degree in ((["--tacnodes", "1,1,1", "--degree", "100000"],
+                          100000),
+                         (["--tacnodes", "1,1,1", "--degree",
+                           str(MAX_DEGREE + 1)], MAX_DEGREE + 1),
+                         (["--tacnodes", "6701"], MAX_DEGREE + 1)):
+        code, rep = run_cli(capsys, "synthesize", *argv)
+        assert code == 2 and rep["verdict"] == "error"
+        assert rep["error"] == ("degree %d above the audit limit %d"
+                                % (degree, MAX_DEGREE))
+    # the limit itself is admitted: the matrix is asked for at it
+    with pytest.raises(_MatrixAsked) as asked:
+        main(["synthesize", "--tacnodes", "1,1,1", "--degree",
+              str(MAX_DEGREE)])
+    assert asked.value.args == (MAX_DEGREE,)
+
+
 def test_maxrank_error_on_missing_file(capsys):
     assert main(["maxrank", "--in", fixture("nope.json")]) == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,7 @@ from nearpoints.local_algebra import (ConditionMatrix, _emit_conditions,
                                       required_truncation, track_bounds)
 from nearpoints import linalg, plane_systems
 from nearpoints.linalg import integral
-from nearpoints.polyops import (monomials, p_clean, p_translate,
-                                translated_monomials, u_divide_out)
+from nearpoints.polyops import monomials, p_clean, p_translate, u_divide_out
 from nearpoints.plane_systems import (EXCEPTION_SYSTEMS, SchemeUnion,
                                       condition_matrix, ell,
                                       exception_catalog, expected_dimension,
@@ -577,29 +577,39 @@ def _packed_translation(ec, d, bound, nrows):
     state = plane_systems._translated_packed(
         ec, d, bound, linalg._packer(ncols, nbytes),
         linalg._folder(ncols, nbytes))
-    w = 8 * nbytes
-    return {e: [(row >> (w * c) & ((1 << w) - 1)) % P31
-                for c in range(ncols)] for e, row in state.items()}
+    out = {}
+    for e, row in state.items():
+        data = row.to_bytes(ncols * nbytes, "little")
+        out[e] = [int.from_bytes(data[c:c + nbytes], "little") % P31
+                  for c in range(0, len(data), nbytes)]
+    return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(rational_unions(), st.integers(0, 7), st.integers(1, 12),
        st.integers(0, 600))
 def test_packed_translation_is_the_exact_one_mod_p(Z, d, bound, extra):
-    # D^(a+b) X^a Y^b mod p, D the common denominator, is the packed
-    # column of X^a Y^b times D^(a+b); every local monomial below the
-    # bound and up to degree d has a row, zero or not.  The slots are
-    # those of at least bound rows, as in `_certified_pivots`.
+    # The slots are those of at least bound rows, as in `_certified_pivots`.
     ec = Z.components[0]
-    D, images = translated_monomials(ec.base[0], ec.base[1], ec.shear, d,
-                                     bound)
-    got = _packed_translation(ec, d, bound, bound + extra)
-    assert set(got) == {(i, j) for i in range(d + 1) for j in range(d + 1)
-                        if i + j < min(bound, d + 1)}
-    for col, (a, b) in enumerate(monomials(d)):
-        scale = pow(D, a + b, P31)
-        for e, row in got.items():
-            assert row[col] * scale % P31 == images[(a, b)].get(e, 0) % P31
+    _packed_matches_exact(ec, d, bound, bound + extra,
+                          plane_systems._translated_columns(ec, d, bound))
+
+
+def _packed_matches_exact(ec, d, bound, nrows, exact):
+    """The packed translation times D^d, D the common denominator, is the
+    exact one, `_translated_columns`, mod p; every local monomial below the
+    bound and up to degree d has a row in both, a nonzero one in exact."""
+    got = _packed_translation(ec, d, bound, nrows)
+    assert set(got) == set(exact) == {
+        (i, j) for i in range(d + 1) for j in range(d + 1)
+        if i + j < min(bound, d + 1)}
+    assert all(exact.values())
+    D = integral({0: ec.base[0], 1: ec.base[1], 2: ec.shear})[1]
+    scale = pow(D, d, P31)
+    for e, row in got.items():
+        vec = exact.get(e, {})
+        assert [v * scale % P31 for v in row] == \
+            [vec.get(col, 0) % P31 for col in range(len(row))]
 
 
 def test_a_denominator_divisible_by_p_gives_zero_rows():
@@ -649,10 +659,11 @@ def test_p_translate_matches_fraction_products(p, x0, y0, shear):
 
 def images_p_translate(p, x0, y0, shear=0):
     """`p_translate` as it was before it took Horner steps, kept as its
-    reference: every monomial's image from `translated_monomials`, scaled
-    and summed over the common denominator D^n."""
+    reference: every monomial's image from
+    `closed_form_translated_monomials`, scaled and summed over the common
+    denominator D^n."""
     n = max((a + b for (a, b) in p), default=0)
-    D, images = translated_monomials(x0, y0, shear, n)
+    D, images = closed_form_translated_monomials(x0, y0, shear, n)
     out = {}
     for (a, b), c in p.items():
         c = c * D ** (n - a - b)
@@ -712,8 +723,9 @@ def test_horner_translation_edge_cases():
 
 
 def closed_form_translated_monomials(x0, y0, shear, max_deg, bound=None):
-    """The binomial expansion `translated_monomials` used to be, kept as the
-    reference for its recurrence:
+    """The images of the plane monomials X^a Y^b, a + b <= max_deg, under
+    X = x0 + x + shear*y, Y = y0 + y, by their binomial expansion, kept as
+    the reference for the translation of the monomial basis:
 
         D^(a+b) X^a Y^b = (X0 + D x + S y)^a (Y0 + D y)^b,
 
@@ -759,15 +771,43 @@ translation_values = st.one_of(
               st.integers(1, 2 ** 100)))
 
 
+def closed_form_columns(x0, y0, shear, d, bound=None):
+    """`_translated_columns` from `closed_form_translated_monomials`: the
+    column of X^a Y^b is D^(d-a-b) times its image, D the common
+    denominator."""
+    D, images = closed_form_translated_monomials(x0, y0, shear, d, bound)
+    state = {}
+    for col, (a, b) in enumerate(monomials(d)):
+        for e, v in images[(a, b)].items():
+            state.setdefault(e, {})[col] = v * D ** (d - a - b)
+    return state
+
+
 @settings(max_examples=150, deadline=None)
 @given(translation_values, translation_values, translation_values,
        st.integers(0, 8).flatmap(
            lambda n: st.tuples(st.just(n),
                                st.none() | st.integers(0, n + 3))))
-def test_translated_monomials_match_closed_form(x0, y0, shear, deg_bound):
+def test_translated_columns_match_closed_form(x0, y0, shear, deg_bound):
     max_deg, bound = deg_bound
-    assert translated_monomials(x0, y0, shear, max_deg, bound) == \
-        closed_form_translated_monomials(x0, y0, shear, max_deg, bound)
+    ec = SimpleNamespace(base=(x0, y0), shear=shear)
+    got = plane_systems._translated_columns(
+        ec, max_deg, max_deg + 1 if bound is None else bound)
+    assert got == closed_form_columns(x0, y0, shear, max_deg, bound)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(9, 60), st.integers(0, 7),
+       *[st.fractions(min_value=-50, max_value=50, max_denominator=30)
+         .filter(lambda v: v.denominator > 1)] * 3)
+def test_translation_at_high_degrees(d, bound, x0, y0, shear):
+    # the exact fallback builds matrices up to MAX_DEGREE, and the
+    # certificate runs there too: fractional bases and shears at degrees
+    # past the hypothesis cases above
+    ec = SimpleNamespace(base=(x0, y0), shear=shear)
+    got = plane_systems._translated_columns(ec, d, bound)
+    assert got == closed_form_columns(x0, y0, shear, d, bound)
+    _packed_matches_exact(ec, d, bound, max(bound, 1), got)
 
 
 def test_u_divide_out():
