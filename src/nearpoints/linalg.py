@@ -5,31 +5,30 @@ Everything here is exact.  The one row form is the sparse integer dict row
 Fractions or be sequences: `integral` and `primitive` are the one place in
 the package where rationals become integer rows (`integral` scales a dict
 by the lcm of its denominators, `primitive` divides an integer row by its
-content and fixes its sign), and rank and echelon pass every row through
+content and fixes its sign), and `forward` passes every row through
 `integral` first.  Column keys need only sort, so tuples serve too.
 
-`rank` certifies a sparse integer matrix with a modular rank: a nonzero
-minor mod p is nonzero over Q, so the rank mod p never exceeds the rank
-over Q, which never exceeds min(rows, cols).  A mod-p rank that reaches
-that bound (full row rank, or full column rank of a tall matrix) is exact;
-only a matrix whose mod-p rank falls short of it, which includes every
-rank-deficient one, is counted exactly by `forward`, the one exact
-elimination in the package.
+Ranks are exact: `rank` counts the pivots of `forward`, the one exact
+elimination in the package, in a single pass.  Modular arithmetic serves
+only two certificates, on matrices where an exact pass costs too much: the
+max-rank certificate of `plane_systems` and the Tjurina count of `locus`.
+A nonzero minor mod p is nonzero over Q, so a rank mod p never exceeds the
+rank over Q.  A full count is therefore exact; where a count falls short,
+`max_rank` takes one exact matrix and the Tjurina scan moves on.
 
-The certificate works mod the Mersenne prime p = 2^31 - 1 on packed rows:
+Both work mod the Mersenne prime p = 2^31 - 1 on packed rows:
 each row of an n-row matrix is one Python int of w-bit slots, one slot per
 column key, the smallest key lowest, with w = 63 + bit_length(n) rounded up
 to whole bytes (9 bytes up to 511 rows), one bit more from 16,384 rows.
 Rows enter with nonnegative representatives below 2^32 in their slots,
-which are never reduced in place.  Rows reach the one pivot loop,
-`_pivots_mod`, three ways.  `_rank_mod` packs sparse integer rows as
-residues below p.  `plane_systems` builds the rows of its max-rank
-certificate packed, every slot folded twice to below 2^32.
-`_shifted_pivots` serves
-the Macaulay rows of the Tjurina count (`locus`) and the Sylvester rows of
-the squarefree test (`polyops`): each row there is a monomial multiple of
-a few generators, so it packs each generator once, as residues below p,
-and makes every row by a whole-slot shift.
+which are never reduced in place.  The one pivot loop, `_pivots_mod`, is
+fed two ways.  `plane_systems` builds the rows of its max-rank certificate
+packed, every slot folded twice to below 2^32.  `_shifted_pivots` serves
+the Macaulay rows of the Tjurina count: each row there is a monomial
+multiple of a partial derivative, so it packs each partial once, as
+residues below p, and makes every row by a whole-slot shift.  `_rank_mod`,
+which packs sparse integer rows as residues below p, is on no package
+path: it is the dict-row reference the tests hold both packed builds to.
 
 A pivot step reads the low slot of every row (r & (2^w - 1), then % p).
 It folds the pivot row twice, slot by slot, with
@@ -53,8 +52,8 @@ rounded up beyond, while w <= 88 (n below 2^24): no slot carries into a
 neighbour.  The packed rows are therefore the rows of the plain
 elimination mod p, slot for slot up to multiples of p, and the rank is the
 GF(p) rank.  The choice of prime only sets how often the rank mod p falls
-short of the rank over Q, which sends `rank` to `forward`; it never exceeds
-that rank, so every verdict stays certified.
+short of the rank over Q; it never exceeds that rank, so every verdict
+stays certified.
 
 `forward` is the forward pass of integer Gauss-Jordan on sparse primitive
 rows (content 1): one primitive row per pivot column, reduced against the
@@ -151,7 +150,10 @@ def _rank_mod(rows):
     as many as the rank mod p.
 
     Each row is packed into one int of slots, one slot per column key
-    present, and `_pivots_mod` eliminates."""
+    present, and `_pivots_mod` eliminates.  No package path calls it: it
+    is the dict-row reference that the tests hold the packed certificate
+    and the shifted Tjurina rows to, and the benchmark counts its calls
+    as `linalg.rank_modp`."""
     cols = sorted(set().union(*rows))
     if not rows or not cols:
         return []
@@ -269,21 +271,16 @@ def forward(rows):
 
 def _rank_bareiss(rows):
     """Exact pivot columns over Q, sorted: the pivots of `forward`, as many
-    as the rank.  It keeps its name as the fallback that `rank` takes when
-    the mod-p rank falls short."""
+    as the rank.  `rank`, the squarefree test and `max_rank`'s one exact
+    matrix take their ranks here."""
     return sorted(forward(rows))
 
 
 def rank(rows):
     """Exact rank of a matrix with int or Fraction entries, given as dict
-    rows (sparse, col -> value) or dense sequences and made sparse integer
-    rows: the packed mod-p rank, then the pivot count of `forward` when the
-    mod-p rank falls short of min(rows, cols)."""
-    rows = _to_sparse_int_rows(rows)
-    have = len(_rank_mod(rows))
-    if have < min(len(rows), len(set().union(*rows))):
-        have = len(_rank_bareiss(rows))
-    return have
+    rows (sparse, col -> value) or dense sequences: the pivot count of
+    `forward`, in one exact pass."""
+    return len(_rank_bareiss(rows))
 
 
 def echelon(rows, ncols):

@@ -292,11 +292,16 @@ def max_rank(Z, degrees=None):
     of the length L.  A count equal to min(L, columns) is exact, and a
     count of L is the rank of every degree above.  The degrees left short
     take one exact `condition_matrix`, at the widest of them, whose exact
-    pivots (`linalg._rank_bareiss`) give the rank of each.  The expected
-    dimension is read off the same length, with no second unloading.
+    pivots (`linalg._rank_bareiss`) give the rank of each.  The length L
+    is read off the normalized multiplicities, with no second unloading,
+    and so is the expected dimension.
     """
     Zn = Z.normalized()
-    L = Zn.total_length
+    # `length` would reject nothing here: a consistent system has no
+    # negative multiplicity, as a chain's last point has excess equal to
+    # its multiplicity and every earlier point at least the sum over the
+    # later points proximate to it
+    L = sum(m * (m + 1) // 2 for ec in Zn.components for m in ec.mults)
     if degrees is None:
         d_low = level_floor(L)
         degrees = range(d_low, d_low + 3)

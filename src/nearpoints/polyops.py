@@ -4,6 +4,7 @@ Coefficients are exact (int or Fraction).  These are plain helpers; heavier
 elimination work (resultants, factorization over Q) goes through sympy's
 polynomial rings in `locus`.  `p_translate` moves one polynomial into a
 local frame; `plane_systems` moves the monomial basis by its closed form.
+`u_is_squarefree` decides squarefreeness by one exact Sylvester rank.
 """
 
 from fractions import Fraction
@@ -145,18 +146,14 @@ def u_is_squarefree(u):
     nonsingular, so that gcd(u, u') is a constant.  Degrees 0 and 1 count
     as squarefree.
 
-    Its rows are whole-slot shifts of u and u' (scaled to integers), so the
-    rank mod p comes from `linalg._shifted_pivots`; a full count is exact,
-    and only a count short of 2n - 1 takes the exact rank."""
+    The rows are shifts of u and u', made integral once, and their rank is
+    taken exactly, in one pass of `linalg._rank_bareiss`."""
     u = u_clean(list(u))
     n = len(u) - 1
     if n < 2:
         return True
     ints = integral(dict(enumerate(u)))[0]
-    gens = [(ints, range(n - 1)),
-            ({i - 1: i * c for i, c in ints.items() if i}, range(n))]
-    if len(linalg._shifted_pivots(gens, 2 * n - 1)) == 2 * n - 1:
-        return True
-    rows = [{i + s: c for i, c in g.items()} for g, shifts in gens
-            for s in shifts]
+    du = {i - 1: i * c for i, c in ints.items() if i}
+    rows = ([{i + s: c for i, c in ints.items()} for s in range(n - 1)]
+            + [{i + s: c for i, c in du.items()} for s in range(n)])
     return len(linalg._rank_bareiss(rows)) == 2 * n - 1

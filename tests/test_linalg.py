@@ -302,7 +302,7 @@ def test_rref_matches_dense_fraction_rref(mat_n):
     rows, n = mat_n
     red, pivots = linalg.rref(rows, n)
     assert (red, pivots) == dense_fraction_rref(rows, n)
-    # the mod-p certified rank against the rank of the echelon form
+    # the rank against the pivot count of the echelon form
     assert len(pivots) == linalg.rank(rows)
 
 
@@ -499,10 +499,10 @@ def test_rank_mod_at_the_slot_width_bound():
 
 def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
     # every matrix that the criterion-3 sweep and its exceptional families
-    # (at the seeds seed 0 of the max-rank benchmark uses) rank, certify
-    # packed, or pass to `forward` when the rank falls short, and the
-    # condition matrix of each criterion-4 spec's synthesis: the kernel's
-    # pivots, and the packed certificate's, are the exact pivots over Q.
+    # (at the seeds seed 0 of the max-rank benchmark uses) certify packed
+    # or pass to `forward`, and the condition matrix of each criterion-4
+    # spec's synthesis: the kernel's pivots, and the packed certificate's,
+    # are the exact pivots over Q.
     # The Tjurina Macaulay matrices of those curves are too large for an
     # exact pass; there the kernel's pivots are those of the 2^61 - 1
     # reference.
@@ -512,11 +512,9 @@ def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
     from nearpoints.synthesis import min_degree, synthesize
     rank_mod, forward = linalg._rank_mod, linalg.forward
     certify = plane_systems._certified_pivots
-    ranked, solved, certified = [], [], []
-    monkeypatch.setattr(linalg, "_rank_mod",
-                        lambda rows: ranked.append(rows) or rank_mod(rows))
+    condition, certified = [], []
     monkeypatch.setattr(linalg, "forward",
-                        lambda rows: solved.append(rows) or forward(rows))
+                        lambda rows: condition.append(rows) or forward(rows))
     monkeypatch.setattr(plane_systems, "_certified_pivots",
                         lambda *args: certified.append(args)
                         or certify(*args))
@@ -530,7 +528,6 @@ def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
             max_rank_generic(comps, seed=seed)
     curves = [(synthesize(spec, min_degree(spec), seed=31000 + k)[0], spec)
               for k, spec in enumerate(PIPELINE_SPECS)]
-    condition = ranked + solved
     # the Tjurina ranks run on rows shifted from packed partials: keep each
     # matrix as dict rows (slot -> integer entry) with the kernel's pivots
     shifted = linalg._shifted_pivots

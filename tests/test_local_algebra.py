@@ -121,6 +121,24 @@ def test_contains_subspace_is_row_space_containment():
     assert not IdealSubspace(1, [[0, 0, 1]]).contains_subspace(A)
 
 
+def test_local_ranks_take_no_modular_pass(monkeypatch):
+    # mod p serves only the max-rank and Tjurina certificates: a local rank,
+    # a colength, a containment and the squarefree test are one exact pass
+    from nearpoints.polyops import u_is_squarefree
+
+    def pivots_mod(*args):
+        raise AssertionError("a mod-p pass on an exact rank")
+    monkeypatch.setattr(linalg, "_pivots_mod", pivots_mod)
+    assert linalg.rank([[1, 2, 3], [2, 4, 6], [0, Fraction(1, 2), 1]]) == 2
+    assert colength(ec_of([None, None, 0], [2, 2, 2],
+                          [None, Fraction(1, 3), None])) == 8
+    A = IdealSubspace(1, [[1, 0, 0], [0, 1, 0]])
+    assert IdealSubspace(1, [[2, 3, 0]]).contains_subspace(A)
+    assert not IdealSubspace(1, [[0, 0, 1]]).contains_subspace(A)
+    assert u_is_squarefree([-2, 0, 1])
+    assert not u_is_squarefree([4, 0, -4, 0, 1])
+
+
 def test_ideal_tacnode():
     H = ideal_subspace(ec_of([None, None], [2, 2], [None, 0]))
     assert contains(H, {(0, 2): 1})            # y^2

@@ -106,6 +106,20 @@ def test_max_rank_window_and_normalization():
     assert max_rank(Zraw)["length"] == 8
 
 
+def test_max_rank_reads_the_length_off_the_normalized_mults(monkeypatch):
+    # the unloading in `normalized` is the only one: the length is summed
+    # off the consistent multiplicities, never recomputed by `length`
+    wc = WeightedCluster(us_chain(3, 3), (2, 2, 2))
+    Z = SchemeUnion((embed(wc, rng=rng_from(3, "raw"), height=20),)
+                    + generic_union([(2, 2)] + [(2,)] * 4, 9).components)
+    want = Z.total_length
+    calls = []
+    monkeypatch.setattr(plane_systems, "length",
+                        lambda wc: calls.append(wc) or length(wc))
+    assert max_rank(Z)["length"] == want == 26
+    assert ell(Z, 6) == 27 - 26 and calls == []
+
+
 def test_max_rank_five_doubles():
     rep = max_rank(generic_union([(2,)] * 5, 10))
     fails = [d for d in rep["detail"] if d["verdict"] != "ok"]

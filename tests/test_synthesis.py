@@ -405,8 +405,8 @@ def test_squarefree_sylvester_rank_matches_euclid(u):
     assert u_is_squarefree(u) == euclid_u_is_squarefree(u)
 
 
-# Reference: the Sylvester test as it ran before its rows were shifts of
-# packed u and u', with its rank taken exactly by `linalg.forward`.
+# Reference: the Sylvester test with each row made integral on its own, its
+# rank taken by `linalg.forward`.
 
 def exact_sylvester_is_squarefree(u):
     u = u_clean(list(u))
@@ -420,7 +420,7 @@ def exact_sylvester_is_squarefree(u):
 
 @settings(max_examples=300, deadline=None)
 @given(univariates())
-def test_packed_squarefree_matches_exact_sylvester_rank(u):
+def test_squarefree_matches_the_rowwise_sylvester_rank(u):
     assert u_is_squarefree(u) == exact_sylvester_is_squarefree(u)
 
 
@@ -435,22 +435,15 @@ SYLVESTER_CASES = [
 ]
 
 
-def test_squarefree_takes_the_exact_rank_on_a_lost_pivot(monkeypatch):
-    # a mod-p count that falls short decides nothing: with a pivot dropped
-    # every Sylvester count is short, and the exact rank gives the answer
+def test_squarefree_takes_one_exact_rank(monkeypatch):
+    # one exact Sylvester rank per polynomial of degree 2 or more decides,
+    # repeated roots or not
     want = [euclid_u_is_squarefree(u) for u in SYLVESTER_CASES]
     assert want.count(True) >= 4 and want.count(False) >= 4
     exact = []
     bareiss = linalg._rank_bareiss
     monkeypatch.setattr(linalg, "_rank_bareiss",
                         lambda rows: exact.append(rows) or bareiss(rows))
-    assert [u_is_squarefree(u) for u in SYLVESTER_CASES] == want
-    # a full count mod p is exact, so only repeated roots reach it
-    assert len(exact) == want.count(False)
-    pivots_mod = linalg._pivots_mod
-    monkeypatch.setattr(linalg, "_pivots_mod",
-                        lambda *args: pivots_mod(*args)[:-1])
-    exact.clear()
     assert [u_is_squarefree(u) for u in SYLVESTER_CASES] == want
     assert len(exact) == len(SYLVESTER_CASES)
 
