@@ -164,7 +164,12 @@ class WeightedCluster:
         return self.cluster.r
 
     def with_mults(self, mults):
-        return WeightedCluster(self.cluster, tuple(mults))
+        """The cluster with another multiplicity system; itself when the
+        system is unchanged."""
+        mults = tuple(mults)
+        if mults == self.mults:
+            return self
+        return WeightedCluster(self.cluster, mults)
 
 
 def weighted_chain(extras, mults):

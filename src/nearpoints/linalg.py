@@ -85,7 +85,9 @@ def integral(values):
     if not dens:
         return ints, 1
     den = lcm(*dens)
-    return {k: int(v * den) for k, v in ints.items()}, den
+    # v = n/q over den is n * (den // q), with no Fraction made
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in ints.items()}, den
 
 
 def primitive(row, lead=None):

@@ -28,8 +28,11 @@ differ only in the divisor m and in what they read at each point:
       0.0900 s to 0.0969 s over 8 pairs);
   virtual transforms of a germ (`germ_transforms`): one column holding the
       germ's numerators, m the prescribed multiplicity;
-  strict transforms of a germ (`strict_transforms`): one column, m the
-      multiplicity the transform attains at the point.
+  strict transforms of a germ (`_strict_walk`): one column, m the
+      multiplicity the transform attains at the point, read off the
+      state's keys; `strict_transforms` renders each state in Fractions,
+      and the sharpness audit (`synthesis.verify_sharp`) reads the integer
+      states themselves.
 
 Monomials whose x-exponent would go negative under the division are exactly
 the condition coefficients emitted at that point, so dropping them keeps the
@@ -46,6 +49,8 @@ from .clusters import (WeightedCluster, check_valid, matches_stratum,
 from .polyops import (monomials, monomial_index, p_clean, p_min_deg,
                       p_translate, vector_of)
 from .sampling import DEFAULT_HEIGHT, rand_fraction
+
+_ZERO = Fraction(0)  # the direction of every satellite step, made once
 
 
 @record
@@ -109,10 +114,15 @@ class EmbeddedCluster:
         divisor (extra proximity to k-2)."""
         return (None,) + tuple(
             (False, self.lambdas[k]) if t is None
-            else (t == k - 2, Fraction(0))
+            else (t == k - 2, _ZERO)
             for k, t in enumerate(self.extras[1:], 1))
 
     def with_mults(self, mults):
+        """The cluster with another multiplicity system; itself when the
+        system is unchanged."""
+        mults = tuple(mults)
+        if mults == self.mults:
+            return self
         return EmbeddedCluster(self.weighted.with_mults(mults), self.lambdas,
                                self.base, self.shear)
 
@@ -462,28 +472,41 @@ def germ_transforms(ec, mults, f):
                   divisor)]
 
 
-def strict_transforms(ec, f, bound_base=None):
-    """Actual (non-virtual) transforms: at each point the attained
-    multiplicity is divided out.  Returns (per-point polynomial, attained
-    multiplicities).  Multiplicities beyond the audit bound come back as
-    None together with a zero polynomial.
-
-    The default audit bound tracks the prescribed multiplicities; pass
-    bound_base to audit germs whose multiplicities may exceed them.
-    """
+def _strict_walk(ec, f, bound_base=None):
+    """The strict transforms of the germ f in integers: yields (state, den,
+    e) at each point, the transform as a one-column state over den and e
+    its attained multiplicity, read off the state's keys (None once the
+    transform has vanished).  A state stores no zero entry, so its lowest
+    key degree is the multiplicity.  The default audit bound tracks the
+    prescribed multiplicities."""
     if bound_base is None:
         bound_base = [max(m, 1) for m in ec.mults]
     state, den = _germ_state(f)
-    polys = []
     attained = []
     # the walk asks for the divisor after point k is read; a transform that
     # has vanished is carried on without division
     for _, s, d in _walk(ec, state, den,
                          track_bounds(bound_base, _TRANSFORM_SLACK),
                          lambda k, _: attained[k] or 0):
-        g = _germ_of(s, d)
-        polys.append(g)
-        attained.append(p_min_deg(g) if g else None)
+        attained.append(min((a + b for a, b in s), default=None))
+        yield s, d, attained[-1]
+
+
+def strict_transforms(ec, f, bound_base=None):
+    """Actual (non-virtual) transforms: at each point the attained
+    multiplicity is divided out.  Returns (per-point polynomial, attained
+    multiplicities), the Fraction rendering of `_strict_walk`.
+    Multiplicities beyond the audit bound come back as None together with
+    a zero polynomial.
+
+    The default audit bound tracks the prescribed multiplicities; pass
+    bound_base to audit germs whose multiplicities may exceed them.
+    """
+    polys = []
+    attained = []
+    for s, d, e in _strict_walk(ec, f, bound_base):
+        polys.append(_germ_of(s, d))
+        attained.append(e)
     return polys, attained
 
 

@@ -2,9 +2,13 @@
 
 Coefficients are exact (int or Fraction).  These are plain helpers; heavier
 elimination work (resultants, factorization over Q) goes through sympy's
-polynomial rings in `locus`.  `p_translate` moves one polynomial into a
-local frame; `plane_systems` moves the monomial basis by its closed form.
-`u_is_squarefree` decides squarefreeness by one exact Sylvester rank.
+polynomial rings in `locus`.  `p_translate_ints` moves one polynomial into a
+local frame in integers, as Horner numerators over one denominator, and
+`p_translate` is their Fraction rendering; `plane_systems` moves the
+monomial basis by its closed form.  The univariate helpers keep integer
+input integer: `u_divide_out` divides by the primitive factor of a rational
+root, and `u_is_squarefree` decides squarefreeness by one exact Sylvester
+rank.
 """
 
 from fractions import Fraction
@@ -27,9 +31,9 @@ def p_form(p, d):
     """Homogeneous part of degree d."""
     return {e: c for e, c in p.items() if e[0] + e[1] == d}
 
-def p_translate(p, x0, y0, shear=0):
-    """Rewrite p in coordinates centered at (x0, y0) with an optional shear:
-    substitutes X = x0 + x + shear*y, Y = y0 + y.
+def p_translate_ints(p, x0, y0, shear=0):
+    """The translation of `p_translate` in integers: returns (nums, N) with
+    nums the nonzero coefficients of p in the local frame times N.
 
     With p scaled to integers over its denominator and base and shear
     written by `integral` over their common denominator D, the forms
@@ -38,12 +42,11 @@ def p_translate(p, x0, y0, shear=0):
         D^n p = sum_a (D X)^a Q_a,   Q_a = sum_b c_ab D^(n-a-b) (D Y)^b,
 
     both sums taken by Horner steps, Q_a as a polynomial in y and the outer
-    sum as one in x over polynomials in y.  Returns the nonzero
-    coefficients: ints when p is integral and D = 1, else Fractions over
-    the denominator of p times D^n."""
+    sum as one in x over polynomials in y.  nums are these Horner
+    numerators, not reduced, over N = (denominator of p) * D^n > 0."""
     ints, den = integral(p)
     if not ints:
-        return {}
+        return {}, 1
     n = max(a + b for (a, b) in ints)
     shift, D = integral({0: x0, 1: y0, 2: shear})
     X0, Y0, S = (shift.get(k, 0) for k in range(3))
@@ -67,9 +70,19 @@ def p_translate(p, x0, y0, shear=0):
         up = [q] + [[D * v for v in hi] for hi in h]
         h = [[X0 * v + S * u + w for u, v, w in zip([0] + hi, hi + [0], ui)]
              for hi, ui in zip(h, up)] + [up[-1]]
-    N = den * pw[n]
-    return {(i, j): v if N == 1 else Fraction(v, N)
-            for i, hi in enumerate(h) for j, v in enumerate(hi) if v}
+    return ({(i, j): v for i, hi in enumerate(h) for j, v in enumerate(hi)
+             if v}, den * pw[n])
+
+def p_translate(p, x0, y0, shear=0):
+    """Rewrite p in coordinates centered at (x0, y0) with an optional shear:
+    substitutes X = x0 + x + shear*y, Y = y0 + y.
+
+    The `p_translate_ints` numerators over their denominator N: returns the
+    nonzero coefficients, ints when N = 1, else Fractions."""
+    nums, N = p_translate_ints(p, x0, y0, shear)
+    if N == 1:
+        return nums
+    return {e: Fraction(v, N) for e, v in nums.items()}
 
 def p_primitive(p):
     """Scale to coprime integer coefficients with positive leading value
@@ -112,7 +125,7 @@ def vector_of(p, max_deg):
     return vec
 
 
-# univariate helpers (lists of Fractions, index = degree)
+# univariate helpers (coefficient lists, index = degree)
 
 def u_clean(u):
     while u and not u[-1]:
@@ -123,20 +136,31 @@ def u_diff(u):
     return [i * c for i, c in enumerate(u)][1:]
 
 def u_divide_out(u, root):
-    """(k, q): the multiplicity k of `root` as a zero of the univariate
-    polynomial u, and the quotient q = u / (t - root)^k."""
-    u = u_clean([Fraction(c) for c in u])
+    """(k, w): the multiplicity k of the rational `root` = p/q (in lowest
+    terms, q > 0) as a zero of the integer polynomial u, and the integer
+    quotient w = u / (q t - p)^k, which is the quotient by (t - root)^k
+    divided by q^k.
+
+    Each division by the primitive factor q t - p is exact in integers
+    when it divides at all: by Gauss's lemma a primitive factor of an
+    integer polynomial over Q leaves an integer quotient.  So synthetic
+    division from the top, q w_(i-1) = u_i + p w_i, stops at the first
+    u_i + p w_i that q does not divide, or else when the remainder
+    u_0 + p w_0 is nonzero."""
+    p, q = root.numerator, root.denominator
+    u = u_clean(list(u))
     k = 0
     while u:
-        # synthetic division by (t - root), highest degree first
-        res = []
-        acc = Fraction(0)
-        for c in reversed(u):
-            acc = acc * root + c
-            res.append(acc)
-        if res[-1]:
+        w = []
+        acc = 0
+        for c in reversed(u[1:]):
+            acc, rem = divmod(c + p * acc, q)
+            if rem:
+                return k, u
+            w.append(acc)
+        if u[0] + p * acc:
             break
-        u = u_clean(list(reversed(res[:-1])))
+        u = w[::-1]
         k += 1
     return k, u
 

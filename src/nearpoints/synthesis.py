@@ -6,7 +6,9 @@ explicit exact curve through the union.  Certification is by actual blowup
 and then by a global count.  `verify_sharp` recomputes the multiplicities of
 the strict transforms along the cluster and audits every crossing with the
 exceptional configuration; a sharp pass fixes each prescribed germ as an A_k
-point with Tjurina number k.  Once every sharpness certificate has passed,
+point with Tjurina number k.  The audit runs in integers, from the curve's
+translation to the local frame through the strict walk to the squarefree
+test, and makes no Fraction.  Once every sharpness certificate has passed,
 the Tjurina-count certificate (`tjurina_certificate`, from `locus`) shows
 that the curve is reduced and singular nowhere else, at infinity included.
 The resultant locus (`singular_locus`) is the fallback: it solves for all
@@ -19,12 +21,15 @@ from fractions import Fraction
 from math import gcd
 
 from .clusters import WeightedCluster, free_chain, record, single_chain
-from .local_algebra import embed, strict_transforms, to_local
+# `strict_transforms` is not called here; it stays bound because the
+# benchmark's span sites wrap it by name in this module
+from .local_algebra import _strict_walk, embed, strict_transforms
 from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, audit_degree, condition_matrix
 from . import linalg
-from .polyops import (monomial_key, monomials, p_clean, p_form, p_min_deg,
-                      p_primitive, u_divide_out, u_is_squarefree)
+from .polyops import (monomial_key, monomials, p_clean, p_primitive,
+                      p_translate_ints, u_clean, u_divide_out,
+                      u_is_squarefree)
 from .sampling import DEFAULT_HEIGHT, distinct_points, rng_from
 
 
@@ -227,16 +232,15 @@ class SharpnessCertificate:
         return self.multiplicities_ok and self.crossings_ok
 
 
-def _leading_univariate(g):
-    """Leading form of g as coefficients of L(1, t), plus the multiplicity
-    of the vertical direction (the x-valuation of the form)."""
-    e = p_min_deg(g)
-    form = p_form(g, e)
-    psi = [Fraction(0)] * (e + 1)
-    for (a, b), c in form.items():
-        psi[b] = Fraction(c)
-    while psi and not psi[-1]:
-        psi.pop()
+def _leading_univariate(state, e):
+    """Leading form, of degree e, of a one-column integer state as the
+    coefficients of L(1, t), plus the multiplicity of the vertical
+    direction (the x-valuation of the form)."""
+    psi = [0] * (e + 1)
+    for (a, b), vec in state.items():
+        if a + b == e:
+            psi[b] = vec[0]
+    u_clean(psi)
     return psi, e - (len(psi) - 1)
 
 
@@ -248,14 +252,20 @@ def verify_sharp(C, ec):
     the cluster must cross the exceptional divisor simply and away from its
     corners, and after the last blowup the strict transform must be smooth
     and transverse to the exceptional axes.
+
+    The audit runs in integers: the curve's translation to the local frame
+    (`p_translate_ints`), the strict walk (`local_algebra._strict_walk`)
+    and the leading forms, divisions and squarefree tests on integer lists.
+    Each state is a positive multiple of the strict transform, and no test
+    here changes when a coefficient list is multiplied by a nonzero number.
     """
     coeffs = C.coeffs if isinstance(C, PlaneCurve) else C
-    f = to_local(coeffs, ec)
+    f = p_translate_ints(coeffs, ec.base[0], ec.base[1], ec.shear)[0]
     if not f:
         raise ValueError("curve vanishes identically in the local chart")
-    polys, attained = strict_transforms(ec, f)
     mults = ec.mults
     steps = ec.steps
+    attained = []
     notes = []
     crossings_ok = True
 
@@ -264,12 +274,13 @@ def verify_sharp(C, ec):
         crossings_ok = False
         notes.append(msg)
 
-    for k in range(ec.r):
-        if attained[k] is None or attained[k] != mults[k]:
+    for k, (state, _, e) in enumerate(_strict_walk(ec, f)):
+        attained.append(e)
+        if e != mults[k]:
             notes.append("multiplicity %s at point %d, prescribed %d"
-                         % (attained[k], k, mults[k]))
+                         % (e, k, mults[k]))
             continue
-        psi, vert_mult = _leading_univariate(polys[k])
+        psi, vert_mult = _leading_univariate(state, e)
         # where the tracked branches continue: the next cluster point is
         # the vertical direction when its step exchanges x and y, else the
         # root lam of the leading form (none after the last point)

@@ -12,7 +12,8 @@ from nearpoints.local_algebra import (ConditionMatrix, _emit_conditions,
                                       required_truncation, track_bounds)
 from nearpoints import linalg, plane_systems
 from nearpoints.linalg import integral
-from nearpoints.polyops import monomials, p_clean, p_translate, u_divide_out
+from nearpoints.polyops import (monomials, p_clean, p_translate, u_clean,
+                               u_divide_out)
 from nearpoints.plane_systems import (EXCEPTION_SYSTEMS, SchemeUnion,
                                       condition_matrix, ell,
                                       exception_catalog, expected_dimension,
@@ -104,6 +105,24 @@ def test_max_rank_window_and_normalization():
     Zraw = SchemeUnion((ec,))
     assert Zraw.normalized().components[0].mults == (3, 1, 1)
     assert max_rank(Zraw)["length"] == 8
+
+
+def test_normalized_keeps_consistent_components():
+    # unloading that changes nothing rebuilds and re-validates nothing:
+    # each consistent component comes back as the same object
+    Z = generic_union([(2, 2), (3, 1)] + [(2,)] * 3, 9)
+    Zn = Z.normalized()
+    assert Zn == Z
+    assert all(a is b for a, b in zip(Zn.components, Z.components))
+    ec = Z.components[0]
+    assert ec.with_mults(list(ec.mults)) is ec
+    assert ec.weighted.with_mults(iter(ec.mults)) is ec.weighted
+    # a component that unloads is still replaced, the others kept
+    wc = WeightedCluster(us_chain(3, 3), (2, 2, 2))
+    raw = embed(wc, rng=rng_from(3, "raw"), height=20)
+    Zn = SchemeUnion((raw,) + Z.components[1:]).normalized()
+    assert Zn.components[0] == raw.with_mults((3, 1, 1))
+    assert all(a is b for a, b in zip(Zn.components[1:], Z.components[1:]))
 
 
 def test_max_rank_reads_the_length_off_the_normalized_mults(monkeypatch):
@@ -824,6 +843,25 @@ def test_translation_at_high_degrees(d, bound, x0, y0, shear):
     _packed_matches_exact(ec, d, bound, max(bound, 1), got)
 
 
+def fraction_u_divide_out(u, root):
+    """`u_divide_out` as it was before it divided by q t - p: synthetic
+    division by t - root over Q, kept as its oracle."""
+    u = u_clean([Fraction(c) for c in u])
+    k = 0
+    while u:
+        # synthetic division by (t - root), highest degree first
+        res = []
+        acc = Fraction(0)
+        for c in reversed(u):
+            acc = acc * root + c
+            res.append(acc)
+        if res[-1]:
+            break
+        u = u_clean(list(reversed(res[:-1])))
+        k += 1
+    return k, u
+
+
 def test_u_divide_out():
     # (t - 2)^2 (t + 3) = t^3 - t^2 - 8t + 12
     u = [12, -8, -1, 1]
@@ -831,3 +869,29 @@ def test_u_divide_out():
     assert u_divide_out(u, -3) == (1, [4, -4, 1])
     assert u_divide_out(u, Fraction(1, 2)) == (0, u)
     assert u_divide_out([], 0) == (0, [])
+    # (2t - 1)^2 (t + 3) = 4t^3 + 8t^2 - 11t + 3: the quotient by the
+    # primitive factor (2t - 1)^2 is integral, the Fraction quotient by
+    # (t - 1/2)^2 divided by 2^2
+    u = [3, -11, 8, 4]
+    k, w = u_divide_out(u, Fraction(1, 2))
+    assert (k, w) == (2, [3, 1])
+    assert all(type(c) is int for c in w)
+    assert fraction_u_divide_out(u, Fraction(1, 2)) == (2, [c * 4 for c in w])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=5),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6),
+       st.integers(0, 3))
+def test_u_divide_out_matches_the_fraction_quotient(w, root, k):
+    # an integer polynomial with root p/q of multiplicity at least k: the
+    # integer quotient times q^k is the Fraction quotient
+    u = list(w)
+    for _ in range(k):
+        u = [root.denominator * a - root.numerator * b
+             for a, b in zip([0] + u, u + [0])]
+    got_k, got = u_divide_out(u, root)
+    want_k, want = fraction_u_divide_out(u, root)
+    assert got_k == want_k and (not u_clean(list(u)) or got_k >= k)
+    assert all(type(c) is int for c in got)
+    assert [c * root.denominator ** got_k for c in got] == want

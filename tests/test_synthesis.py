@@ -1,22 +1,28 @@
 import itertools
 import json
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearpoints import linalg, synthesis
+from nearpoints import linalg, local_algebra, polyops, synthesis
 from nearpoints.clusters import validate, weighted_chain
 from nearpoints.io import jsonable
 from nearpoints.local_algebra import (EmbeddedCluster, contains,
-                                      ideal_subspace, to_local)
+                                      ideal_subspace, strict_transforms,
+                                      to_local)
 from nearpoints.plane_systems import SchemeUnion, max_rank
-from nearpoints.polyops import u_clean, u_diff, u_is_squarefree
-from nearpoints.synthesis import (PlaneCurve, SingularitySpec, cusp_scheme,
+from nearpoints.polyops import (p_form, p_min_deg, u_clean, u_diff,
+                                u_is_squarefree)
+from nearpoints.synthesis import (PlaneCurve, SharpnessCertificate,
+                                  SingularitySpec, cusp_scheme,
                                   dk_scheme, existence_driver, min_degree,
                                   singular_locus, synthesize, tacnode_scheme,
                                   verify_sharp)
 from nearpoints.unloading import length, unload
+from test_plane_systems import fraction_u_divide_out
 
 
 def ec_of(extras, mults, lambdas):
@@ -316,11 +322,18 @@ def dense_nullspace_synthesize(spec, d, seed=0, height=synthesis.DEFAULT_HEIGHT)
     raise RuntimeError("could not reach general position: %s" % last_err)
 
 
+@lru_cache(maxsize=None)
+def synthesized(spec, d, seed):
+    """`synthesize` once per (spec, d, seed) in a session: the draw oracle
+    and the audit oracle below read the same curves."""
+    return synthesize(spec, d, seed=seed)
+
+
 def test_synthesize_matches_the_dense_nullspace_draw():
     from test_acceptance import PIPELINE_SPECS
     for seed, spec in itertools.product((0, 1, 2), PIPELINE_SPECS):
         d = min_degree(spec)
-        curve, union = synthesize(spec, d, seed=seed)
+        curve, union = synthesized(spec, d, seed)
         want, want_union = dense_nullspace_synthesize(spec, d, seed=seed)
         assert union == want_union
         # equal as dicts and in the key order the reports print
@@ -332,10 +345,162 @@ def test_synthesize_matches_the_dense_nullspace_draw():
 def test_synthesize_matches_the_dense_nullspace_draw_at_degree_12():
     # past the acceptance degrees: five A_7 tacnodes and an A_8 cusp
     spec = SingularitySpec((4,) * 5, (4,))
-    curve, union = synthesize(spec, 12, seed=2)
+    curve, union = synthesized(spec, 12, 2)
     want, want_union = dense_nullspace_synthesize(spec, 12, seed=2)
     assert union == want_union
     assert list(curve.coeffs.items()) == list(want.coeffs.items())
+
+
+# Reference: the sharpness audit as it ran on Fractions, before it read the
+# integer states of the walk.  `to_local` and `strict_transforms` are the
+# Fraction renderings of the integer translation and walk, each checked
+# against its own Fraction oracle in test_plane_systems.py and
+# test_local_algebra.py; the division is the old one over Q.
+
+def fraction_leading_univariate(g):
+    """Leading form of g as coefficients of L(1, t), plus the multiplicity
+    of the vertical direction (the x-valuation of the form)."""
+    e = p_min_deg(g)
+    form = p_form(g, e)
+    psi = [Fraction(0)] * (e + 1)
+    for (a, b), c in form.items():
+        psi[b] = Fraction(c)
+    while psi and not psi[-1]:
+        psi.pop()
+    return psi, e - (len(psi) - 1)
+
+
+def fraction_verify_sharp(C, ec):
+    coeffs = C.coeffs if isinstance(C, PlaneCurve) else C
+    f = to_local(coeffs, ec)
+    if not f:
+        raise ValueError("curve vanishes identically in the local chart")
+    polys, attained = strict_transforms(ec, f)
+    mults = ec.mults
+    steps = ec.steps
+    notes = []
+    crossings_ok = True
+
+    def fail(msg):
+        nonlocal crossings_ok
+        crossings_ok = False
+        notes.append(msg)
+
+    for k in range(ec.r):
+        if attained[k] is None or attained[k] != mults[k]:
+            notes.append("multiplicity %s at point %d, prescribed %d"
+                         % (attained[k], k, mults[k]))
+            continue
+        psi, vert_mult = fraction_leading_univariate(polys[k])
+        # where the tracked branches continue: the next cluster point is
+        # the vertical direction when its step exchanges x and y, else the
+        # root lam of the leading form (none after the last point)
+        swap, lam = steps[k + 1] if k + 1 < ec.r else (False, None)
+        # corner with the previous exceptional divisor (vertical direction)
+        if not swap:
+            if k >= 1 and vert_mult > 0:
+                fail("branch through the corner with the previous divisor "
+                     "at point %d" % k)
+            elif k == 0 and vert_mult > 1:
+                fail("non-simple crossing in the unchartable direction at "
+                     "the base point")
+        res = (psi if swap or lam is None
+               else fraction_u_divide_out(psi, lam)[1])
+        # corner with the older divisor (direction y = 0) at a satellite
+        if ec.extras[k] is not None and fraction_u_divide_out(res, 0)[0] > 0:
+            fail("branch through the corner with the older divisor "
+                 "at point %d" % k)
+        # every remaining crossing of the exceptional divisor must be simple
+        if res and not u_is_squarefree(res):
+            fail("non-simple residual crossing of the exceptional divisor "
+                 "at point %d" % k)
+    return SharpnessCertificate(tuple(mults), tuple(attained), crossings_ok,
+                                tuple(notes))
+
+
+TAC = ec_of([None, None], [2, 2], [None, 0])
+NODE = ec_of([None], [2], [None])
+HALF = Fraction(1, 2)
+
+# (curve, cluster): the failing curves of the two tests above, then leading
+# forms with a double root at a fractional direction: (2y - x)^2 at the
+# tracked lam = 1/2, sharp as a tacnode and failing as a cusp, and
+# (3y - x)^2 in the residual of a triple point
+AUDIT_CASES = [
+    (PlaneCurve(3, {(0, 2): 1, (3, 0): -1}), TAC),
+    (PlaneCurve(5, {(0, 2): 1, (5, 0): -1}), NODE),
+    (PlaneCurve(2, {(0, 2): 1, (2, 0): -1}), NODE),
+    (PlaneCurve(4, {(0, 2): 1, (4, 0): -1}), ec_of([None], [3], [None])),
+    (PlaneCurve(4, {(2, 0): 1, (0, 3): -1}), NODE),
+    (PlaneCurve(4, {(0, 2): 1, (3, 0): -1}),
+     ec_of([None, None], [2, 1], [None, 0])),
+    (PlaneCurve(4, {(4, 0): 1, (0, 3): 1}),
+     ec_of([None, None, 0], [3, 1, 1], [None, 0, None])),
+    (PlaneCurve(4, {(0, 2): 4, (1, 1): -4, (2, 0): 1, (4, 0): -1}),
+     ec_of([None, None], [2, 2], [None, HALF])),
+    (PlaneCurve(3, {(0, 2): 4, (1, 1): -4, (2, 0): 1, (3, 0): -1}),
+     ec_of([None, None], [2, 1], [None, HALF])),
+    # (2y - x)(3y - x)^2 + x^4
+    (PlaneCurve(4, {(0, 3): 18, (1, 2): -21, (2, 1): 8, (3, 0): -1,
+                    (4, 0): 1}),
+     ec_of([None, None], [3, 1], [None, HALF])),
+]
+
+
+def test_verify_sharp_matches_the_fraction_audit():
+    from test_acceptance import PIPELINE_SPECS
+    runs = [(spec, min_degree(spec), seed)
+            for seed, spec in itertools.product((0, 1, 2), PIPELINE_SPECS)]
+    runs.append((SingularitySpec((4,) * 5, (4,)), 12, 2))
+    cases = list(AUDIT_CASES)
+    for spec, d, seed in runs:
+        curve, union = synthesized(spec, d, seed)
+        cases += [(curve, ec) for ec in union.components]
+    certs = [verify_sharp(curve, ec) for curve, ec in cases]
+    assert certs == [fraction_verify_sharp(curve, ec) for curve, ec in cases]
+    # the fractional double roots: one sharp, one corner, one residual fail
+    assert certs[7].ok
+    assert certs[8].notes == ("branch through the corner with the previous "
+                              "divisor at point 1",)
+    assert certs[9].attained == (3, 1) and certs[9].notes == (
+        "non-simple residual crossing of the exceptional divisor at point 0",)
+
+
+def calls_during(codes, fn, *args):
+    """Names of the functions with these code objects entered while fn
+    runs, traced by a profile hook."""
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen.append(frame.f_code.co_name)
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return seen
+
+
+def test_verify_sharp_makes_no_fraction():
+    # the audit reads integer states: it renders no strict transform
+    # (`_germ_of`) and no translation (`p_translate`) in Fractions, and
+    # constructs no Fraction at all
+    codes = {local_algebra._germ_of.__code__, polyops.p_translate.__code__,
+             Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):     # Python >= 3.12
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    spec = SingularitySpec(tacnodes=(2, 2), cusps=(3,))
+    curve, union = synthesized(spec, min_degree(spec), 0)
+    cases = AUDIT_CASES + [(curve, ec) for ec in union.components]
+    for C, ec in cases:
+        assert calls_during(codes, verify_sharp, C, ec) == []
+    # the hook sees them where they are called
+    ec = union.components[0]
+    assert "p_translate" in calls_during(codes, to_local, curve.coeffs, ec)
+    f = to_local(curve.coeffs, ec)
+    assert "_germ_of" in calls_during(codes, strict_transforms, ec, f)
 
 
 # Reference: the Fraction Euclid that decided squarefreeness before the
