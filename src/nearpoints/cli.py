@@ -15,7 +15,8 @@ package module beyond `cli`, `clusters`, `io` and `unloading`; `ell` and
 `maxrank` add `plane_systems` and what it imports (`linalg`,
 `local_algebra`, `polyops`, `sampling`), and `ell` is `max_rank` at its
 one degree; `verify` adds `synthesis` and `locus`.  No command imports
-sympy unless a curve falls back to the resultant locus.
+sympy: `synthesize` decides every attempt by the sharpness audit and the
+Tjurina count, which never touch it.
 """
 
 import argparse

@@ -31,8 +31,8 @@ differ only in the divisor m and in what they read at each point:
   strict transforms of a germ (`_strict_walk`): one column, m the
       multiplicity the transform attains at the point, read off the
       state's keys; `strict_transforms` renders each state in Fractions,
-      and the sharpness audit (`synthesis.verify_sharp`) reads the integer
-      states themselves.
+      the sharpness audit (`synthesis.verify_sharp`) reads the integer
+      states themselves, and `multiplicities_along` reads only m.
 
 Monomials whose x-exponent would go negative under the division are exactly
 the condition coefficients emitted at that point, so dropping them keeps the
@@ -521,7 +521,7 @@ def multiplicities_along(ec, f):
     if e1 < 0:
         raise ValueError("zero germ has no multiplicities")
     base = [max(m, e1, 1) for m in ec.mults]
-    _, es = strict_transforms(ec, f, bound_base=base)
+    es = [e for _, _, e in _strict_walk(ec, f, bound_base=base)]
     if any(e is None for e in es):
         raise ValueError("germ multiplicity exceeds the audit bound")
     return es

@@ -1,5 +1,5 @@
-"""The singular locus of a plane curve: a Tjurina-count certificate first,
-the exact resultant locus as the fallback.
+"""The singular locus of a plane curve: a Tjurina-count certificate, and
+the exact resultant locus.
 
 `tjurina_certificate` proves, from one Hilbert-function value of the Jacobian
 ideal, that a curve is reduced and has no singular point (at infinity
@@ -7,11 +7,12 @@ included) beyond a set whose Tjurina numbers are known to sum to s.  It is
 sound only under that premise: in the synthesis pipeline every sharpness
 certificate has passed, which fixes each prescribed germ as an A_k point
 with Tjurina number k.  It runs one mod-p rank per degree and never touches
-sympy.
+sympy.  It alone decides the locus of every synthesis attempt: a miss fails
+the attempt.
 
-`singular_locus` finds all singular points exactly, with no premise.  The
-synthesis pipeline reaches it only when an attempt fails a sharpness
-certificate or the Tjurina count.  It has one path: a squarefree gcd of the
+`singular_locus` finds all singular points exactly, with no premise.  No
+path of the package calls it; it is public API, and the tests' oracle for
+the curves the count certifies.  It has one path: a squarefree gcd of the
 curve with its partials, then the curve's factorization.  Candidate
 x-coordinates come from resultant eliminants taken factor by factor, so no
 elimination is degenerate.  Every candidate is then checked against
@@ -131,7 +132,7 @@ def tjurina_certificate(coeffs, s):
     bound its rank; a degree where C(t+2, 2) minus that count exceeds s
     cannot give h_p(t) <= s, and is skipped without taking the rank.  A rank
     that falls short mod p only raises h_p(t): the scan moves on to the next
-    degree, and the caller to the resultant locus, but never passes wrongly.
+    degree, and may end refusing the curve, but never passes wrongly.
 
     When the curve is known to carry singular points whose Tjurina numbers
     sum to s, a pass proves that they are all of its singular points.

@@ -11,18 +11,16 @@ translation to the local frame through the strict walk to the squarefree
 test, and makes no Fraction.  Once every sharpness certificate has passed,
 the Tjurina-count certificate (`tjurina_certificate`, from `locus`) shows
 that the curve is reduced and singular nowhere else, at infinity included.
-The resultant locus (`singular_locus`) is the fallback: it solves for all
-singular points exactly whenever a sharpness certificate or the count
-fails.  This module does not import sympy; `locus` does, on the first
-resultant locus.
+An attempt that fails either is refused, and the driver draws once more.
+No path here reaches the resultant locus or imports sympy.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .clusters import WeightedCluster, free_chain, record, single_chain
-# `strict_transforms` is not called here; it stays bound because the
-# benchmark's span sites wrap it by name in this module
+# `strict_transforms` and `singular_locus` are not called here; they stay
+# bound because the benchmark's span sites wrap them by name in this module
 from .local_algebra import _strict_walk, embed, strict_transforms
 from .locus import singular_locus, tjurina_certificate
 from .plane_systems import SchemeUnion, audit_degree, condition_matrix
@@ -308,25 +306,23 @@ def verify_sharp(C, ec):
 
 def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
     """Full pipeline: bound, synthesis, per-cluster sharpness certificates,
-    then the singular locus; verdict ok iff every certificate passes and the
-    singular points are exactly the prescribed base points.
+    then the Tjurina count; an attempt is ok iff every certificate passes,
+    and the verdict is ok iff one of the two attempts is.
 
-    The locus is certified by the Tjurina count first, with the resultant
-    locus as the fallback.  The count is taken only when every sharpness
-    certificate passed, since only then is the Tjurina number at each base
-    point known.  A pass proves the curve reduced with no singular point
-    besides the bases; otherwise `singular_locus` solves for all singular
-    points.  Either way `singular_points` is sorted by (x, y).
+    The count is taken only when every sharpness certificate passed, since
+    only then is the Tjurina number at each base point known; `locus_ok`
+    records it.  A pass proves the curve reduced with no singular point
+    besides the bases, which `singular_points` then lists, sorted by
+    (x, y).  An attempt that fails a sharpness certificate records no locus
+    field: its certificate notes say what failed.
 
     Irreducibility is certified by hypothesis: the conditions were checked
     independent one degree down and the base scheme is not a single point of
-    multiplicity d+1, which makes the general member irreducible; the locus
-    audit excludes any unprescribed singularity.
+    multiplicity d+1, which makes the general member irreducible; the
+    Tjurina count excludes any unprescribed singularity.
     """
     d = degree if degree is not None else min_degree(spec)
     attempts = []
-    verdict = False
-    curve = union = None
     for attempt in (0, 1):
         curve, union = synthesize(spec, d, seed + 7777 * attempt, height)
         entry = {"attempt": attempt, "degree": d}
@@ -335,36 +331,21 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
                                   "attained": list(c.attained),
                                   "prescribed": list(c.prescribed),
                                   "notes": list(c.notes)} for c in certs]
-        sharp = all(c.ok for c in certs)
-        found, clean = None, True
-        if sharp and tjurina_certificate(curve.coeffs, spec.tjurina):
-            # a sharp certificate attains the prescribed multiplicity at
-            # its base, which the sheared local frame does not change
-            found = [(ec.base, c.attained[0])
-                     for ec, c in zip(union.components, certs)]
-        else:
-            try:
-                locus = singular_locus(curve)
-            except ValueError as exc:
-                entry["locus_error"] = str(exc)
-            else:
-                found = [(p["point"], p["multiplicity"])
-                         for p in locus["affine"]]
-                clean = not (locus["affine_unlocated"] or locus["infinity"]
-                             or locus["infinity_unlocated"])
-        locus_ok = False
-        if found is not None:
-            found.sort()                # by (x, y); no point is listed twice
-            entry["singular_points"] = [
-                {"point": [str(x), str(y)], "multiplicity": m}
-                for (x, y), m in found]
-            entry["locus_ok"] = locus_ok = clean and (
-                [p for p, _ in found]
-                == sorted(ec.base for ec in union.components))
-        entry["ok"] = locus_ok and sharp
+        ok = all(c.ok for c in certs)
+        if ok:
+            ok = tjurina_certificate(curve.coeffs, spec.tjurina)
+            if ok:
+                # a sharp certificate attains the prescribed multiplicity
+                # at its base, which the sheared local frame does not change
+                entry["singular_points"] = [
+                    {"point": [str(x), str(y)], "multiplicity": m}
+                    for (x, y), m in sorted(
+                        (ec.base, c.attained[0])
+                        for ec, c in zip(union.components, certs))]
+            entry["locus_ok"] = ok
+        entry["ok"] = ok
         attempts.append(entry)
-        if entry["ok"]:
-            verdict = True
+        if ok:
             break
     return {
         "spec": {"tacnodes": list(spec.tacnodes), "cusps": list(spec.cusps)},
@@ -378,7 +359,7 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
             "not_a_single_full_multiplicity_point": True,
         },
         "attempts": attempts,
-        "verdict": "ok" if verdict else "fail",
+        "verdict": "ok" if ok else "fail",
         "curve": {"degree": curve.d,
                   "coefficients": {monomial_key(e): str(Fraction(c))
                                    for e, c in sorted(curve.coeffs.items())}},

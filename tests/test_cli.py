@@ -478,9 +478,9 @@ def test_error_report_carries_timings(capsys, tmp_path):
     assert rep["timings"]["elapsed_s"] >= 0
 
 
-# A child that cannot import sympy: every command that does not need the
-# resultant locus must run without it, synthesize included when the
-# Tjurina count certifies its curve.
+# A child that cannot import sympy: every command must run without it,
+# synthesize included, whether the Tjurina count certifies its curve or
+# refuses it.
 NO_SYMPY = """
 import sys
 class Blocked:
@@ -580,12 +580,42 @@ def test_commands_run_without_sympy(tmp_path):
               str(union_path)], 0),
             (["synthesize", "--tacnodes", "1,1,1", "--seed", "31000"], 0),
             # two of the bases share an x-coordinate
-            (["synthesize", "--tacnodes", "1,1,1,1", "--seed", "205"], 0)):
+            (["synthesize", "--tacnodes", "1,1,1,1", "--seed", "205"], 0),
+            # both attempts are sharp, and the count refuses both
+            (["synthesize", "--tacnodes", "1,1,1", "--seed", "3",
+              "--height", "1"], 1)):
         proc = _child("-c", NO_SYMPY, *argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["verdict"] == ("ok" if code == 0
                                                       else "fail")
+
+
+# A child whose Tjurina count refuses every curve: the d = 9 driver fails
+# both sharp attempts at once, and sympy is never loaded.
+FORCED_MISS = """
+import json, sys, time
+from nearpoints import synthesis
+synthesis.tjurina_certificate = lambda coeffs, s: False
+start = time.perf_counter()
+rep = synthesis.existence_driver(
+    synthesis.SingularitySpec(tacnodes=(4, 4, 4, 1)), seed=0)
+print(json.dumps({"seconds": time.perf_counter() - start,
+                  "degree": rep["degree"], "verdict": rep["verdict"],
+                  "locus_ok": [a.get("locus_ok") for a in rep["attempts"]],
+                  "sympy": [m for m in sys.modules
+                            if m == "sympy" or m.startswith("sympy.")]}))
+"""
+
+
+def test_a_count_miss_fails_the_attempt_without_sympy():
+    proc = _child("-c", FORCED_MISS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert (got["degree"], got["verdict"], got["locus_ok"], got["sympy"]) \
+        == (9, "fail", [False, False], [])
+    assert got["seconds"] < 1
+
 
 @pytest.mark.parametrize("argv", [
     ["unload", "--in", fixture("d7.json"), "--trace"],

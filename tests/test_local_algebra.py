@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_weighted_chain
-from nearpoints import linalg
+from nearpoints import linalg, local_algebra
 from nearpoints.clusters import (WeightedCluster, satellite_targets, system,
                                  us_chain, weighted_chain)
 from nearpoints.local_algebra import (EmbeddedCluster, IdealSubspace,
@@ -273,6 +273,29 @@ def test_multiplicities_additive_on_products():
         eg = multiplicities_along(ec, g)
         assert [a + b for a, b in zip(ef, eg)] == \
             multiplicities_along(ec, p_mul(f, g))
+
+
+def test_multiplicities_along_reads_the_integer_walk(monkeypatch):
+    # the e-vector is read off `_strict_walk`: it is the one the Fraction
+    # rendering attains, and no strict transform is rendered (`_germ_of`)
+    cases = []
+    for trial in range(12):
+        rng = rng_from(trial, "mult-walk")
+        wc = random_weighted_chain(rng, max_points=4, mult_range=(0, 3))
+        ec = embed(wc, rng=rng, height=15)
+        basis = ideal_subspace(ec).basis() or [{(0, 0): 1}]
+        f = p_clean({e: rng.randint(-4, 4) * v
+                     for e, v in basis[rng.randrange(len(basis))].items()})
+        if f:
+            bound = [max(m, p_min_deg(f), 1) for m in wc.mults]
+            cases.append((ec, f, strict_transforms(ec, f, bound)[1]))
+    assert len(cases) >= 8
+
+    def render(state, den):
+        raise AssertionError("multiplicities_along rendered a transform")
+    monkeypatch.setattr(local_algebra, "_germ_of", render)
+    for ec, f, want in cases:
+        assert multiplicities_along(ec, f) == want
 
 
 def test_virtual_transform_requires_passage():

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nearpoints import linalg, local_algebra, polyops, synthesis
+from nearpoints import linalg, local_algebra, locus, polyops, synthesis
 from nearpoints.clusters import validate, weighted_chain
 from nearpoints.io import jsonable
 from nearpoints.local_algebra import (EmbeddedCluster, contains,
@@ -238,25 +238,76 @@ def test_driver_mixed():
     assert rep["degree"] == 6 and rep["verdict"] == "ok"
 
 
-def test_tjurina_fast_path_equals_resultant_fallback(monkeypatch):
+def test_singular_locus_confirms_every_certified_curve():
+    # the resultant locus as the oracle of the Tjurina count: on each ok
+    # curve it lists exactly the bases, with the attained multiplicities,
+    # and nothing unlocated or at infinity
     from test_acceptance import PIPELINE_SPECS
     runs = [(spec, 31000 + k) for k, spec in enumerate(PIPELINE_SPECS[:8])]
     # seeded draws where two bases share an x-coordinate
     runs += [(PIPELINE_SPECS[k], seed)
              for seed, k in ((204, 9), (205, 5), (210, 9), (212, 10))]
-    calls = []
-    locus_fn = synthesis.singular_locus
-    monkeypatch.setattr(synthesis, "singular_locus",
-                        lambda C: calls.append(C) or locus_fn(C))
-    fast = [json.dumps(jsonable(existence_driver(spec, seed=seed)))
-            for spec, seed in runs]
-    assert calls == []
-    monkeypatch.setattr(synthesis, "tjurina_certificate",
-                        lambda coeffs, s: False)
-    slow = [json.dumps(jsonable(existence_driver(spec, seed=seed)))
-            for spec, seed in runs]
-    assert len(calls) == len(runs)
-    assert fast == slow
+    for spec, seed in runs:
+        rep = existence_driver(spec, seed=seed)
+        assert rep["verdict"] == "ok", (spec, seed)
+        entry = rep["attempts"][-1]
+        curve, union = synthesize(spec, rep["degree"],
+                                  seed + 7777 * entry["attempt"])
+        assert [[str(v) for v in ec.base] for ec in union.components] \
+            == rep["bases"]
+        loc = singular_locus(curve)
+        assert loc["affine_unlocated"] == loc["infinity"] \
+            == loc["infinity_unlocated"] == [], (spec, seed)
+        found = sorted((p["point"], p["multiplicity"]) for p in loc["affine"])
+        assert found == sorted((ec.base, c["attained"][0]) for ec, c in
+                               zip(union.components, entry["certificates"]))
+        assert entry["singular_points"] == [
+            {"point": [str(x), str(y)], "multiplicity": m}
+            for (x, y), m in found]
+
+
+# Seeded height-1 runs, as (seed, PIPELINE_SPECS index), that fail both
+# attempts: five sharp attempts the count misses, and seven that fail a
+# sharpness certificate, three of them on a curve with a repeated factor
+FAILING_RUNS = ((3, 0), (19, 0), (30, 0), (33, 0), (35, 2), (35, 3))
+
+
+def test_failing_attempts_never_reach_the_resultant_locus(monkeypatch):
+    from test_acceptance import PIPELINE_SPECS
+
+    def refuse(C):
+        raise AssertionError("the driver called singular_locus")
+    monkeypatch.setattr(synthesis, "singular_locus", refuse)
+    monkeypatch.setattr(locus, "singular_locus", refuse)
+    misses = []
+    for seed, k in FAILING_RUNS:
+        spec = PIPELINE_SPECS[k]
+        rep = existence_driver(spec, seed=seed, height=1)
+        assert rep["verdict"] == "fail" and len(rep["attempts"]) == 2
+        for entry in rep["attempts"]:
+            sharp = all(c["ok"] for c in entry["certificates"])
+            # a sharp attempt records the count's miss, any other attempt
+            # no locus field at all
+            assert list(entry) == (["attempt", "degree", "certificates"]
+                                   + ["locus_ok"] * sharp + ["ok"])
+            assert entry["ok"] is False
+            if sharp:
+                assert entry["locus_ok"] is False
+                misses.append((seed, k, entry["attempt"]))
+    assert misses == [(3, 0, 0), (3, 0, 1), (30, 0, 0), (33, 0, 1),
+                      (35, 3, 1)]
+    monkeypatch.undo()
+    # no rescue was lost: every curve the count refused is singular off
+    # its bases
+    for seed, k, attempt in misses:
+        spec = PIPELINE_SPECS[k]
+        curve, union = synthesize(spec, min_degree(spec),
+                                  seed + 7777 * attempt, height=1)
+        loc = singular_locus(curve)
+        bases = {ec.base for ec in union.components}
+        assert (any(p["point"] not in bases for p in loc["affine"])
+                or loc["affine_unlocated"] or loc["infinity"]
+                or loc["infinity_unlocated"]), (seed, k, attempt)
 
 
 def test_shared_x_takes_the_tjurina_certificate(monkeypatch):
