@@ -15,8 +15,8 @@ package module beyond `cli`, `clusters`, `io` and `unloading`; `ell` and
 `maxrank` add `plane_systems` and what it imports (`linalg`,
 `local_algebra`, `polyops`, `sampling`), and `ell` is `max_rank` at its
 one degree; `verify` adds `synthesis` and `locus`.  No command imports
-sympy: `synthesize` decides every attempt by the sharpness audit and the
-Tjurina count, which never touch it.
+sympy: `synthesize` and `verify` certify a curve by one chain,
+`synthesis.certify` (the sharpness audit, then the Tjurina count).
 """
 
 import argparse
@@ -100,8 +100,8 @@ def build_parser():
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--curve-out", help="write the curve JSON here")
 
-    p = sub.add_parser("verify", help="sharpness certificates of a curve "
-                                      "against a union")
+    p = sub.add_parser("verify", help="sharpness and locus certificates "
+                                      "of a curve against a union")
     p.add_argument("--curve", required=True)
     p.add_argument("--union", required=True)
 
@@ -218,18 +218,16 @@ def run(args):
                 fh.write("\n")
         return rep, rep["verdict"]
     if cmd == "verify":
-        from .synthesis import PlaneCurve, verify_sharp
+        from .synthesis import PlaneCurve, certify
         curve = parse_inputs(args.curve)
         union = parse_inputs(args.union)
         if not isinstance(curve, PlaneCurve):
             raise SchemaError("$", "--curve is not a curve file")
-        union = _as_union(union)
-        certs = [verify_sharp(curve, ec) for ec in union.components]
-        results = {"certificates": [{"ok": c.ok,
-                                     "prescribed": list(c.prescribed),
-                                     "attained": list(c.attained),
-                                     "notes": list(c.notes)} for c in certs]}
-        return results, "ok" if all(c.ok for c in certs) else "fail"
+        certs, locus_ok = certify(curve, _as_union(union))
+        results = {"certificates": [c.to_data() for c in certs]}
+        if locus_ok is False:
+            results["locus_ok"] = False
+        return results, "ok" if locus_ok else "fail"
     if cmd == "experiment":
         from .specialization import (limit_dimension_experiment,
                                      limit_identities_sweep,

@@ -4,11 +4,11 @@ the exact resultant locus.
 `tjurina_certificate` proves, from one Hilbert-function value of the Jacobian
 ideal, that a curve is reduced and has no singular point (at infinity
 included) beyond a set whose Tjurina numbers are known to sum to s.  It is
-sound only under that premise: in the synthesis pipeline every sharpness
-certificate has passed, which fixes each prescribed germ as an A_k point
-with Tjurina number k.  It runs one mod-p rank per degree and never touches
-sympy.  It alone decides the locus of every synthesis attempt: a miss fails
-the attempt.
+sound only under that premise: its one caller, `synthesis.certify`, reads
+s off the union once every sharpness certificate has passed, which fixes
+each base as an A_k point.  It runs one mod-p rank per degree and never
+touches sympy.  It alone decides the locus of every synthesis attempt and
+every `verify`: a miss fails the curve.
 
 `singular_locus` finds all singular points exactly, with no premise.  No
 path of the package calls it; it is public API, and the tests' oracle for

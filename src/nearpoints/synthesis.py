@@ -8,17 +8,16 @@ the strict transforms along the cluster and audits every crossing with the
 exceptional configuration; a sharp pass fixes each prescribed germ as an A_k
 point with Tjurina number k.  The audit runs in integers, from the curve's
 translation to the local frame through the strict walk to the squarefree
-test, and makes no Fraction.  Once every sharpness certificate has passed,
-the Tjurina-count certificate (`tjurina_certificate`, from `locus`) shows
-that the curve is reduced and singular nowhere else, at infinity included.
-An attempt that fails either is refused, and the driver draws once more.
-No path here reaches the resultant locus or imports sympy.
+test, and makes no Fraction.  Then the Tjurina-count certificate
+(`tjurina_certificate`, from `locus`) shows that the curve is reduced and
+singular nowhere else, at infinity included.  `certify` is that one chain,
+for the driver and the CLI `verify` alike.  No path here imports sympy.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .clusters import WeightedCluster, free_chain, record, single_chain
+from .clusters import (WeightedCluster, excesses, free_chain, record,
+                       single_chain)
 # `strict_transforms` and `singular_locus` are not called here; they stay
 # bound because the benchmark's span sites wrap them by name in this module
 from .local_algebra import _strict_walk, embed, strict_transforms
@@ -229,6 +228,10 @@ class SharpnessCertificate:
     def ok(self):
         return self.multiplicities_ok and self.crossings_ok
 
+    def to_data(self):
+        return {"ok": self.ok, "attained": list(self.attained),
+                "prescribed": list(self.prescribed), "notes": list(self.notes)}
+
 
 def _leading_univariate(state, e):
     """Leading form, of degree e, of a one-column integer state as the
@@ -304,17 +307,35 @@ def verify_sharp(C, ec):
                                 tuple(notes))
 
 
-def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
-    """Full pipeline: bound, synthesis, per-cluster sharpness certificates,
-    then the Tjurina count; an attempt is ok iff every certificate passes,
-    and the verdict is ok iff one of the two attempts is.
+def certify(curve, union):
+    """`verify_sharp` on every component of the embedded union and, only if
+    all pass, the Tjurina count; returns (certificates, locus_ok), locus_ok
+    None after a sharpness failure.
 
-    The count is taken only when every sharpness certificate passed, since
-    only then is the Tjurina number at each base point known; `locus_ok`
-    records it.  A pass proves the curve reduced with no singular point
-    besides the bases, which `singular_points` then lists, sorted by
-    (x, y).  An attempt that fails a sharpness certificate records no locus
-    field: its certificate notes say what failed.
+    The count's premise s is read off the union.  A sharp germ through
+    double and simple points is an A_k point, so its Tjurina number is its
+    Milnor number 2 delta - r + 1, with delta its number of double points
+    and r, its branch count, the sum of the excesses; a root of
+    multiplicity 0 adds 0.  Above multiplicity 2 tau can fall below mu, so
+    such a union is a ValueError, raised before any audit."""
+    s = 0
+    for ec in union.components:
+        if max(ec.mults) > 2:
+            raise ValueError("a multiplicity above 2 is outside the "
+                             "premise of the Tjurina count")
+        if ec.mults[0]:
+            s += 2 * ec.mults.count(2) - sum(excesses(ec.weighted)) + 1
+    certs = [verify_sharp(curve, ec) for ec in union.components]
+    if not all(c.ok for c in certs):
+        return certs, None
+    return certs, tjurina_certificate(curve.coeffs, s)
+
+
+def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
+    """Full pipeline: bound, synthesis, then `certify` on each attempt; the
+    verdict is ok iff one of the two attempts passes every certificate.
+    `locus_ok` records the Tjurina count when it was taken, and a pass lists
+    the bases as `singular_points`, sorted by (x, y).
 
     Irreducibility is certified by hypothesis: the conditions were checked
     independent one degree down and the base scheme is not a single point of
@@ -325,25 +346,20 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
     attempts = []
     for attempt in (0, 1):
         curve, union = synthesize(spec, d, seed + 7777 * attempt, height)
-        entry = {"attempt": attempt, "degree": d}
-        certs = [verify_sharp(curve, ec) for ec in union.components]
-        entry["certificates"] = [{"ok": c.ok,
-                                  "attained": list(c.attained),
-                                  "prescribed": list(c.prescribed),
-                                  "notes": list(c.notes)} for c in certs]
-        ok = all(c.ok for c in certs)
-        if ok:
-            ok = tjurina_certificate(curve.coeffs, spec.tjurina)
-            if ok:
-                # a sharp certificate attains the prescribed multiplicity
-                # at its base, which the sheared local frame does not change
-                entry["singular_points"] = [
-                    {"point": [str(x), str(y)], "multiplicity": m}
-                    for (x, y), m in sorted(
-                        (ec.base, c.attained[0])
-                        for ec, c in zip(union.components, certs))]
-            entry["locus_ok"] = ok
-        entry["ok"] = ok
+        certs, locus_ok = certify(curve, union)
+        entry = {"attempt": attempt, "degree": d,
+                 "certificates": [c.to_data() for c in certs]}
+        if locus_ok:
+            # a sharp certificate attains the prescribed multiplicity at
+            # its base, which the sheared local frame does not change
+            entry["singular_points"] = [
+                {"point": [str(x), str(y)], "multiplicity": m}
+                for (x, y), m in sorted(
+                    (ec.base, c.attained[0])
+                    for ec, c in zip(union.components, certs))]
+        if locus_ok is not None:
+            entry["locus_ok"] = locus_ok
+        entry["ok"] = ok = bool(locus_ok)
         attempts.append(entry)
         if ok:
             break
@@ -361,7 +377,7 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         "attempts": attempts,
         "verdict": "ok" if ok else "fail",
         "curve": {"degree": curve.d,
-                  "coefficients": {monomial_key(e): str(Fraction(c))
+                  "coefficients": {monomial_key(e): str(c)
                                    for e, c in sorted(curve.coeffs.items())}},
         "bases": [[str(v) for v in ec.base] for ec in union.components],
     }

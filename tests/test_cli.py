@@ -248,6 +248,94 @@ def test_verify_ok_and_fail(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_refuses_a_sharp_curve_with_extra_nodes(capsys):
+    # C.L: the seed-3 nodal quartic times the line x + 2y + 7, which misses
+    # its three bases.  The product is sharp at each base, but the line
+    # meets the quartic in four more nodes, and the Tjurina count sees them
+    from nearpoints.io import parse_inputs
+    from nearpoints.synthesis import SingularitySpec, synthesize
+    quartic, union = synthesize(SingularitySpec(tacnodes=(1, 1, 1)), 4,
+                                seed=3)
+    assert parse_inputs(fixture("three_nodes.json")) == union
+    product = {}
+    for (a, b), c in quartic.coeffs.items():
+        for (e, f), g in (((1, 0), 1), ((0, 1), 2), ((0, 0), 7)):
+            product[a + e, b + f] = product.get((a + e, b + f), 0) + c * g
+    assert parse_inputs(fixture("cl_quintic.json")).coeffs == product
+    code, rep = run_cli(capsys, "verify", "--curve",
+                        fixture("cl_quintic.json"), "--union",
+                        fixture("three_nodes.json"))
+    assert (code, rep["verdict"]) == (1, "fail")
+    assert all(c["ok"] for c in rep["results"]["certificates"])
+    assert rep["results"]["locus_ok"] is False
+
+
+def verify_curve(capsys, tmp_path, curve, union):
+    """The verify report of a curve against an embedded union, through
+    files."""
+    from nearpoints.io import cluster_to_data, curve_to_data
+    curve_path, union_path = tmp_path / "c.json", tmp_path / "u.json"
+    curve_path.write_text(json.dumps(curve_to_data(curve)))
+    union_path.write_text(json.dumps(cluster_to_data(union)))
+    return run_cli(capsys, "verify", "--curve", str(curve_path),
+                   "--union", str(union_path))
+
+
+def test_verify_passes_every_acceptance_curve(capsys, tmp_path):
+    # the curve the driver certifies at each acceptance seed, verified
+    # against its own union, gets exit 0 and the driver's certificates
+    from test_acceptance import PIPELINE_SPECS
+    from nearpoints.synthesis import existence_driver, synthesize
+    for k, spec in enumerate(PIPELINE_SPECS):
+        rep = existence_driver(spec, seed=31000 + k)
+        entry = rep["attempts"][-1]
+        assert rep["verdict"] == "ok", spec
+        curve, union = synthesize(spec, rep["degree"],
+                                  seed=31000 + k + 7777 * entry["attempt"])
+        code, out = verify_curve(capsys, tmp_path, curve, union)
+        assert (code, out["verdict"]) == (0, "ok"), spec
+        assert out["results"] == {"certificates": entry["certificates"]}
+
+
+def test_verify_refuses_each_count_miss(capsys, tmp_path):
+    # each sharp attempt the driver's count refused, verified against its
+    # own union, fails in the CLI too
+    from test_acceptance import PIPELINE_SPECS
+    from test_synthesis import COUNT_MISSES
+    from nearpoints.synthesis import min_degree, synthesize
+    for seed, k, attempt in COUNT_MISSES:
+        spec = PIPELINE_SPECS[k]
+        curve, union = synthesize(spec, min_degree(spec),
+                                  seed + 7777 * attempt, height=1)
+        code, rep = verify_curve(capsys, tmp_path, curve, union)
+        assert (code, rep["verdict"]) == (1, "fail"), (seed, k, attempt)
+        assert all(c["ok"] for c in rep["results"]["certificates"])
+        assert rep["results"]["locus_ok"] is False
+
+
+def test_verify_refuses_a_union_above_multiplicity_two(capsys, tmp_path,
+                                                       monkeypatch):
+    # a D_4 point is a triple point, where tau can fall below mu: the
+    # count has no premise there, and no audit runs
+    from nearpoints import synthesis
+    from nearpoints.io import cluster_to_data
+    from nearpoints.plane_systems import SchemeUnion
+
+    def audit(curve, ec):
+        raise AssertionError("a union outside the premise was audited")
+    monkeypatch.setattr(synthesis, "verify_sharp", audit)
+    union_path = tmp_path / "d4.json"
+    union_path.write_text(json.dumps(cluster_to_data(
+        SchemeUnion((synthesis.dk_scheme(4),)))))
+    code = main(["verify", "--curve", fixture("cl_quintic.json"),
+                 "--union", str(union_path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert (code, rep["verdict"], err) == (2, "error", "")
+    assert rep["error"] == ("a multiplicity above 2 is outside the premise "
+                            "of the Tjurina count")
+
+
 def test_synthesize_error_weight5(capsys):
     assert main(["synthesize", "--tacnodes", "5", "--seed", "1"]) == 2
     capsys.readouterr()

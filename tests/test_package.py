@@ -28,7 +28,7 @@ EXPORTS = {
                       "generic_union", "level_split", "max_rank",
                       "max_rank_generic", "stratum_ell", "us_consistent"],
     "synthesis": ["PlaneCurve", "SharpnessCertificate", "SingularitySpec",
-                  "cusp_scheme", "dk_scheme", "existence_driver",
+                  "certify", "cusp_scheme", "dk_scheme", "existence_driver",
                   "min_degree", "synthesize", "tacnode_scheme",
                   "verify_sharp"],
     "locus": ["singular_locus", "tjurina_certificate"],

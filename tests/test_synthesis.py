@@ -270,6 +270,8 @@ def test_singular_locus_confirms_every_certified_curve():
 # attempts: five sharp attempts the count misses, and seven that fail a
 # sharpness certificate, three of them on a curve with a repeated factor
 FAILING_RUNS = ((3, 0), (19, 0), (30, 0), (33, 0), (35, 2), (35, 3))
+# the five sharp attempts among them, as (seed, index, attempt)
+COUNT_MISSES = ((3, 0, 0), (3, 0, 1), (30, 0, 0), (33, 0, 1), (35, 3, 1))
 
 
 def test_failing_attempts_never_reach_the_resultant_locus(monkeypatch):
@@ -294,8 +296,7 @@ def test_failing_attempts_never_reach_the_resultant_locus(monkeypatch):
             if sharp:
                 assert entry["locus_ok"] is False
                 misses.append((seed, k, entry["attempt"]))
-    assert misses == [(3, 0, 0), (3, 0, 1), (30, 0, 0), (33, 0, 1),
-                      (35, 3, 1)]
+    assert misses == list(COUNT_MISSES)
     monkeypatch.undo()
     # no rescue was lost: every curve the count refused is singular off
     # its bases
@@ -308,6 +309,34 @@ def test_failing_attempts_never_reach_the_resultant_locus(monkeypatch):
         assert (any(p["point"] not in bases for p in loc["affine"])
                 or loc["affine_unlocated"] or loc["infinity"]
                 or loc["infinity_unlocated"]), (seed, k, attempt)
+
+
+def test_certify_reads_the_tjurina_premise_off_the_union(monkeypatch):
+    # Milnor's formula on the cluster against the spec's A_k count, for
+    # tacnodes and cusps of orders 1-8 and the acceptance specs; a simple
+    # point adds 0, and so does a root of multiplicity 0
+    premises = []
+    monkeypatch.setattr(synthesis, "verify_sharp", lambda C, ec:
+                        SharpnessCertificate(ec.mults, ec.mults, True, ()))
+    monkeypatch.setattr(synthesis, "tjurina_certificate",
+                        lambda coeffs, s: premises.append(s) or True)
+    from test_acceptance import PIPELINE_SPECS
+    specs = ([SingularitySpec(tacnodes=(t,)) for t in range(1, 9)]
+             + [SingularitySpec(cusps=(n,)) for n in range(1, 9)]
+             + PIPELINE_SPECS)
+    curve = PlaneCurve(0, {(0, 0): 1})
+    for spec in specs:
+        union = synthesis._spec_union(spec, 0, 100)
+        assert synthesis.certify(curve, union)[1] is True
+    assert premises == [spec.tjurina for spec in specs]
+    premises.clear()
+    union = SchemeUnion((tacnode_scheme(2),
+                         synthesis.embed(weighted_chain((None,), (1,)),
+                                         base=(1, 0)),
+                         synthesis.embed(weighted_chain((None, None), (0, 0)),
+                                         base=(2, 0), lambdas=(None, 1))))
+    synthesis.certify(curve, union)
+    assert premises == [3]
 
 
 def test_shared_x_takes_the_tjurina_certificate(monkeypatch):
