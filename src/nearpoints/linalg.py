@@ -23,33 +23,39 @@ to whole bytes (9 bytes up to 511 rows), one bit more from 16,384 rows.
 Rows enter with nonnegative representatives below 2^32 in their slots,
 which are never reduced in place.  The one pivot loop, `_pivots_mod`, is
 fed two ways.  `plane_systems` builds the rows of its max-rank certificate
-packed, every slot folded twice to below 2^32.  `_shifted_pivots` serves
-the Macaulay rows of the Tjurina count: each row there is a monomial
-multiple of a partial derivative, so it packs each partial once, as
-residues below p, and makes every row by a whole-slot shift.  `_rank_mod`,
-which packs sparse integer rows as residues below p, is on no package
-path: it is the dict-row reference the tests hold both packed builds to.
+packed, every slot folded twice to below 2^32, and all of them are active
+from the first column.  `_shifted_pivots` serves the Macaulay rows of the
+Tjurina count: each row there is a monomial multiple of a partial
+derivative, so it packs each partial once, as residues below p, and passes
+every row unshifted with its shift as its start.  A row joins the active
+rows when the column walk reaches its start, since before that its slots
+are zero and no step can touch it; a column step costs only its active
+rows, and most Macaulay rows start far to the right.  `_rank_mod`, which
+packs sparse integer rows as residues below p, is on no package path: it
+is the dict-row reference the tests hold both packed builds to.
 
-A pivot step reads the low slot of every row (r & (2^w - 1), then % p).
-It folds the pivot row twice, slot by slot, with
+A pivot step reads the low slot of every active row (r & (2^w - 1), then
+% p).  It folds the pivot row twice, slot by slot, with
 x -> (x mod 2^31) + (x >> 31), which keeps x mod p because 2^31 = 1 mod p;
 multiplies it by -1/v mod p for its pivot entry v; folds it once more; and
-replaces every other row r by (r >> w) + f * q, where f is the low slot of
-r and q the folded pivot row without its low slot.  So a pivot costs one
-multiply-add and one shift per row, whatever the number of columns.
+replaces every other active row r by (r >> w) + f * q, where f is the low
+slot of r and q the folded pivot row without its low slot.  So a pivot
+costs one multiply-add and one shift per active row, whatever the number
+of columns.
 
 Exactness: a slot below 2^w folds below 2^31 + 2^(w - 31), then below
 2^31 + 2^(w - 62), which is at most 2^32 while w <= 93.  The product with
 -1/v <= 2^31 - 2 stays below 2^62 + 2^(w - 31), and the third fold brings
 it below 2^32 + 2^(w - 62), so with f < 2^31 one pivot adds less than
 2^63 + 2^(w - 31) to a slot (2^63 + 2^41 in a 9-byte slot).  A row enters
-with slots below 2^32 and meets at most n - 1 <= 2^b - 2 pivots,
-b = bit_length(n), so its slots stay below
-2^32 + (2^b - 2)(2^63 + 2^(w - 31)): below 2^(63 + b) when b + w <= 94,
-and below 2^(64 + b) when w <= 94.  So 63 + b bits rounded up to whole
-bytes serve while b <= 14 (n below 16,384; w <= 80), and 64 + b bits
-rounded up beyond, while w <= 88 (n below 2^24): no slot carries into a
-neighbour.  The packed rows are therefore the rows of the plain
+with slots below 2^32, at the first column or at its start, and meets at
+most n - 1 <= 2^b - 2 pivots, b = bit_length(n): a row that enters late
+meets only the pivots found from its start on, fewer still.  So its slots
+stay below 2^32 + (2^b - 2)(2^63 + 2^(w - 31)): below 2^(63 + b) when
+b + w <= 94, and below 2^(64 + b) when w <= 94.  So 63 + b bits rounded up
+to whole bytes serve while b <= 14 (n below 16,384; w <= 80), and 64 + b
+bits rounded up beyond, while w <= 88 (n below 2^24): no slot carries into
+a neighbour.  The packed rows are therefore the rows of the plain
 elimination mod p, slot for slot up to multiples of p, and the rank is the
 GF(p) rank.  The choice of prime only sets how often the rank mod p falls
 short of the rank over Q; it never exceeds that rank, so every verdict
@@ -177,52 +183,68 @@ def _shifted_pivots(gens, ncols):
     entries a dict {slot: int} and each s in shifts the row holding
     entries[i] at column i + s, every such column below ncols.
 
-    Each generator is packed once, as residues below p, and each row is
-    one shift of it, so no row is built entry by entry; `_pivots_mod`
-    eliminates.  The rows go in by shift, ties in the order of gens: the
-    pivot found for a column is then the row that reaches least far, so
-    the rows it is added to grow no longer than they must."""
+    Each generator is packed once, as residues below p, and every row is
+    that int unshifted: it joins `_pivots_mod`'s elimination when the
+    column walk reaches its shift, since no step before can touch its zero
+    slots.  The rows go in by shift, ties in the order of gens: the pivot
+    found for a column is then the row that reaches least far, so the rows
+    it is added to grow no longer than they must."""
     nrows = sum(len(shifts) for _, shifts in gens)
     width = 1 + max((max(g) for g, _ in gens if g), default=-1)
     if not nrows or not width:
         return []
     nbytes = _slot_bytes(nrows)
     pack = _packer(width, nbytes)
-    w = 8 * nbytes
     rows = []
     for entries, shifts in gens:
         vals = [0] * width
         for i, v in entries.items():
             vals[i] = v % _P31
         g = pack(vals)
-        rows += [(s, g << (w * s)) for s in shifts]
+        rows += [(s, g) for s in shifts]
     rows.sort(key=lambda row: row[0])
-    return _pivots_mod([r for _, r in rows], range(ncols), nbytes)
+    return _pivots_mod([r for _, r in rows], range(ncols), nbytes,
+                       [s for s, _ in rows])
 
 
-def _pivots_mod(rows, cols, nbytes):
+def _pivots_mod(rows, cols, nbytes, starts=None):
     """The pivot columns mod p of rows packed in nbytes-byte slots, slot i
     holding column cols[i] (sorted) and every slot below 2^32, with nbytes
     at least `_slot_bytes(len(rows))`: a pivot step clears a column with
-    one multiply-add and one shift per row; see the module docstring for
-    why no slot ever carries into the next."""
+    one multiply-add and one shift per active row; see the module docstring
+    for why no slot ever carries into the next.
+
+    Without starts every row is active from the first column.  With starts,
+    a nondecreasing index into cols for each row, a row joins the active
+    rows, its low slot at cols[start], when the walk reaches that column:
+    it stands for the row shifted start slots up, whose zero lower slots
+    no step could touch.  Active rows keep the order of rows, so the pivots
+    are those of the shifted rows all active from the first column."""
     p = _P31
     w = 8 * nbytes
     low = (1 << w) - 1
     lo31, hi = _fold_masks(len(cols), nbytes)
+    n = len(rows)
+    # rows[:enter] have joined; without starts, all of them at once
+    active, enter = (rows, n) if starts is None else ([], 0)
     pivots = []
-    for col in cols:
-        lead = [(r & low) % p for r in rows]
+    for k, col in enumerate(cols):
+        while enter < n and starts[enter] <= k:
+            active.append(rows[enter])
+            enter += 1
+        lead = [(r & low) % p for r in active]
         for piv, v in enumerate(lead):
             if v:
                 break
         else:
-            rows = [r >> w for r in rows]
+            active = [r >> w for r in active]
             continue
         pivots.append(col)
-        q = rows.pop(piv)
-        if not rows:
-            break
+        q = active.pop(piv)
+        if not active:
+            if enter == n:
+                break
+            continue
         del lead[piv]
         # two folds: every slot < 2^31 + 2^(w - 62) <= 2^32
         q = (q & lo31) + ((q >> 31) & hi)
@@ -231,7 +253,7 @@ def _pivots_mod(rows, cols, nbytes):
         # slot < 2^32 + 2^(w - 62), so f * q adds less than 2^63 + 2^(w - 31)
         q *= p - pow(v, -1, p)
         q = (q & lo31) + ((q >> 31) & hi)
-        rows = [(r + f * q) >> w for r, f in zip(rows, lead)]
+        active = [(r + f * q) >> w for r, f in zip(active, lead)]
     return pivots
 
 

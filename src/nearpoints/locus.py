@@ -117,12 +117,14 @@ def tjurina_certificate(coeffs, s):
     ideal of its partials, and h_p(t) = C(t+2, 2) minus the rank mod
     p = 2^31 - 1 of the degree-t Macaulay matrix of J.  Each of its rows is
     a monomial multiple of one partial, so `linalg._shifted_pivots` packs
-    each partial once per x-shift and makes every row by a whole-slot shift;
-    its columns, the monomials in the order of their keys (a, b), sit in
-    runs of b cut to a + b <= t.  A mod-p rank never exceeds the rank over
-    Q, whatever the prime, so h_p(t) is at least the Hilbert function of
-    S/J, which maps onto the coordinate ring of the Jacobian scheme.  By
-    Euler's relation F lies in J, so that scheme sits on the singular points
+    each partial once per x-shift, and the row g x^u y^v is the int of
+    g x^u, unshifted, joining the elimination at the column of x^u y^v,
+    below which its slots are zero.  The columns, the monomials in the
+    order of their keys (a, b), sit in runs of b cut to a + b <= t.  A
+    mod-p rank never exceeds the rank over Q, whatever the prime, so
+    h_p(t) is at least the Hilbert function of S/J, which maps onto the
+    coordinate ring of the Jacobian scheme.  By Euler's relation F lies in
+    J, so that scheme sits on the singular points
     and has length tau(C), infinite when C is not reduced; its Hilbert
     function rises by at least one per degree until it reaches the length.
     Hence h_p(t) >= min(t+1, tau(C)), and h_p(t) = s at any t >= s proves

@@ -363,12 +363,14 @@ def existence_driver(spec, seed=0, height=DEFAULT_HEIGHT, degree=None):
         attempts.append(entry)
         if ok:
             break
+    # each read of total_length unloads every component
+    total = union.total_length
     return {
         "spec": {"tacnodes": list(spec.tacnodes), "cusps": list(spec.cusps)},
         "weight": spec.weight,
         "degree": d,
-        "total_length": union.total_length,
-        "length_check": union.total_length == 3 * spec.weight,
+        "total_length": total,
+        "length_check": total == 3 * spec.weight,
         "irreducibility_hypotheses": {
             "independent_in_lower_degree": True,
             # every component has root multiplicity 2 < d + 1, as d >= 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nearpoints import linalg
 
@@ -551,6 +551,50 @@ def test_rank_mod_pivots_on_the_seeded_matrices(monkeypatch):
         assert rank_mod(rows) == sorted(forward(rows))
     for rows, pivots in tjurina:
         assert pivots == rank_mod_p61(rows)
+
+
+# _shifted_pivots: rows that are shifts of packed generators, each joining
+# the elimination at its shift, against the same rows written out as dicts
+
+@st.composite
+def shifted_matrices(draw):
+    """(gens, ncols) for `_shifted_pivots`: up to four generators, each
+    with shifts that may repeat, within it and across generators.  A
+    generator may be empty, or all zero mod p (zeros and multiples of p).
+    The smallest shift may leave the first columns with no row, and ncols
+    runs from the widest shift plus the width up."""
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([P31, -P31, 2 * P31, P31 - 1, 1 - P31, P31 + 1]),
+        st.integers(-(1 << 80), 1 << 80))
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        entries = draw(st.dictionaries(st.integers(0, 6), entry,
+                                       max_size=5))
+        if draw(st.booleans()):
+            entries = {i: P31 * (v % 3) for i, v in entries.items()}
+        gens.append((entries, draw(st.lists(st.integers(0, 12),
+                                            max_size=6))))
+    width = 1 + max((max(g) for g, _ in gens if g), default=-1)
+    widest = max((s for _, shifts in gens for s in shifts), default=0)
+    return gens, widest + width + draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted_matrices())
+# a zero row joins after the last pivot, at ncols = widest shift + width
+@example(([({0: 1, 1: 1}, [0, 3]), ({0: 0}, [7])], 9))
+# no row is active at columns 0 and 1; shift 2 repeats
+@example(([({0: 1, 2: -1}, [2, 2, 4])], 7))
+# the active rows run out after the first pivot while one row still waits
+@example(([({0: 1}, [0]), ({0: 3, 1: 1}, [4])], 6))
+# a copy of an active row joins after the pivot that clears it
+@example(([({0: 2, 1: 5}, [1, 1, 3]), ({1: 7}, [0, 2])], 6))
+def test_shifted_pivots_match_the_dict_rows(gens_ncols):
+    gens, ncols = gens_ncols
+    rows = [{i + s: c for i, c in g.items()}
+            for g, shifts in gens for s in shifts]
+    assert linalg._shifted_pivots(gens, ncols) == linalg._rank_mod(rows)
 
 
 # integral and primitive: the one place rationals become integer rows

@@ -580,18 +580,37 @@ def test_tjurina_certificate_rejects_a_sharp_quintic_below_its_total():
 
 
 def test_tjurina_certificate_takes_one_rank_on_two_cusps(monkeypatch):
+    # one rank, and each of its Macaulay rows reaches `_pivots_mod` as its
+    # packed partial, unshifted, with its shift as the column where it
+    # joins; the rows go by that start, ties in the order of the generators
     from test_acceptance import PIPELINE_SPECS
     from nearpoints.synthesis import synthesize
     spec = PIPELINE_SPECS[7]
     curve, _ = synthesize(spec, 5, seed=0)
+    shifted, pivots_mod = linalg._shifted_pivots, linalg._pivots_mod
     calls = []
-    pivots_mod = linalg._pivots_mod
-    monkeypatch.setattr(linalg, "_pivots_mod",
-                        lambda rows, *args: calls.append(len(rows))
-                        or pivots_mod(rows, *args))
+
+    def spy_shifted(gens, ncols):
+        calls.append(gens)
+        return shifted(gens, ncols)
+
+    def spy_pivots(rows, *args):
+        calls.append((list(rows), args))
+        return pivots_mod(rows, *args)
+    monkeypatch.setattr(linalg, "_shifted_pivots", spy_shifted)
+    monkeypatch.setattr(linalg, "_pivots_mod", spy_pivots)
     # d = 5, s = 4: t = 4..7 have fewer than C(t+2, 2) - 4 rows; t = 8 passes
     assert locus.tjurina_certificate(curve.coeffs, spec.tjurina)
-    assert calls == [45]
+    gens, (rows, (_, nbytes, *starts)) = calls
+    width = 1 + max(max(g) for g, _ in gens if g)
+    pack = linalg._packer(width, nbytes)
+    want = sorted(((s, pack([g.get(i, 0) % linalg._P31
+                             for i in range(width)]))
+                   for g, shifts in gens for s in shifts),
+                  key=lambda row: row[0])
+    assert len(rows) == 45 and starts == [[s for s, _ in want]]
+    assert rows == [r for _, r in want]
+    assert all(r.bit_length() <= width * 8 * nbytes for r in rows)
 
 
 # Reference: the Macaulay matrix as the certificate built it before its rows

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import sys
@@ -429,6 +430,51 @@ def test_synthesize_matches_the_dense_nullspace_draw_at_degree_12():
     want, want_union = dense_nullspace_synthesize(spec, 12, seed=2)
     assert union == want_union
     assert list(curve.coeffs.items()) == list(want.coeffs.items())
+
+
+def test_cli_synthesize_certifies_degree_12_with_its_digest(monkeypatch,
+                                                           capsys):
+    # the CLI `synthesize` of the spec above in-process, on the curve the
+    # draw oracle already made: ok at the first attempt, and the report
+    # without `timings` keeps the digest that CI pins for the same command
+    from nearpoints.cli import main
+    draw = synthesis.synthesize
+
+    def cached(spec, d, seed, height):
+        if height != synthesis.DEFAULT_HEIGHT:
+            return draw(spec, d, seed, height)
+        return synthesized(spec, d, seed)
+    monkeypatch.setattr(synthesis, "synthesize", cached)
+    assert main(["synthesize", "--tacnodes", "4,4,4,4,4", "--cusps", "4",
+                 "--seed", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timings")
+    assert report["verdict"] == "ok"
+    assert [a["ok"] for a in report["results"]["attempts"]] == [True]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] \
+        == "7ff7025f1e756d11"
+
+
+def test_existence_driver_reads_the_total_length_once(monkeypatch):
+    # every read of `total_length` unloads each component: the driver
+    # takes one for its report, beyond those its draws take
+    from test_acceptance import PIPELINE_SPECS
+    total_length = SchemeUnion.total_length
+    reads = []
+    monkeypatch.setattr(SchemeUnion, "total_length", property(
+        lambda union: reads.append(1) or total_length.fget(union)))
+    draw = synthesis.synthesize
+
+    def counted(*args):
+        before = len(reads)
+        out = draw(*args)
+        del reads[before:]
+        return out
+    monkeypatch.setattr(synthesis, "synthesize", counted)
+    rep = existence_driver(PIPELINE_SPECS[0], seed=0)
+    assert rep["verdict"] == "ok" and rep["length_check"]
+    assert len(reads) == 1
 
 
 # Reference: the sharpness audit as it ran on Fractions, before it read the
